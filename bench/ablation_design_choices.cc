@@ -103,7 +103,7 @@ main(int argc, char **argv)
                  [](SimConfig &) {});
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
-    harness::ResultSet rs = runner.run(cells, &globalBaselineCache());
+    harness::ResultSet rs = runner.run(cells, &baselineConfig());
 
     SimConfig base = designConfig(RfDesign::LTRF, 7);
 

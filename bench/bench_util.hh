@@ -16,13 +16,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
-#include "harness/baseline_cache.hh"
+#include "common/parse_num.hh"
 #include "harness/result_set.hh"
 #include "obs/stall.hh"
 #include "sim/gpu.hh"
@@ -47,12 +46,15 @@ constexpr std::uint64_t BENCH_SEED = 2018;
  * baseline keeps 256KB and the deviation is documented in
  * EXPERIMENTS.md.
  */
-inline SimConfig
+inline const SimConfig &
 baselineConfig()
 {
-    SimConfig cfg;
-    cfg.num_sms = BENCH_SMS;
-    cfg.design = RfDesign::BL;
+    static const SimConfig cfg = [] {
+        SimConfig c;
+        c.num_sms = BENCH_SMS;
+        c.design = RfDesign::BL;
+        return c;
+    }();
     return cfg;
 }
 
@@ -78,28 +80,6 @@ run(const Workload &w, const SimConfig &cfg)
 }
 
 /**
- * The process-wide baseline cache all harnesses share. A
- * function-local static BaselineCache replaces the old bare
- * `static std::map` here: C++ guarantees the initialization is
- * thread-safe, and the cache itself serializes lookups with a mutex
- * while computing each workload's baseline exactly once — safe for
- * cells running on the ExperimentRunner's thread pool.
- */
-inline harness::BaselineCache &
-globalBaselineCache()
-{
-    static harness::BaselineCache cache(baselineConfig(), BENCH_SEED);
-    return cache;
-}
-
-/** Cached baseline IPCs per workload (they never change). */
-inline double
-baselineIpc(const Workload &w)
-{
-    return globalBaselineCache().ipc(w);
-}
-
-/**
  * Parse a `--jobs N` flag for harness mains; 0 (the default) lets
  * the ExperimentRunner pick the hardware concurrency. fatal() on a
  * missing or malformed value — silently running unbounded on a
@@ -113,13 +93,12 @@ jobsFromArgs(int argc, char **argv)
             continue;
         if (i + 1 >= argc)
             ltrf_fatal("--jobs needs a value");
-        char *end = nullptr;
-        long n = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || n < 0)
+        int n = 0;
+        if (!parseInt(argv[i + 1], n) || n < 0)
             ltrf_fatal("bad --jobs value \"%s\" (expected 0 for "
                        "hardware concurrency, or a positive count)",
                        argv[i + 1]);
-        return static_cast<int>(n);
+        return n;
     }
     return 0;
 }

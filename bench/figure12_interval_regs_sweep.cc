@@ -60,7 +60,7 @@ main(int argc, char **argv)
     }
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
-    harness::ResultSet rs = runner.run(cells, &globalBaselineCache());
+    harness::ResultSet rs = runner.run(cells, &baselineConfig());
 
     std::printf("Figure 12: LTRF normalized IPC vs MRF latency and "
                 "registers per interval\n\n");

@@ -61,7 +61,7 @@ main(int argc, char **argv)
     }
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
-    harness::ResultSet rs = runner.run(cells, &globalBaselineCache());
+    harness::ResultSet rs = runner.run(cells, &baselineConfig());
 
     std::printf("Figure 13: LTRF normalized IPC vs MRF latency and "
                 "active warp count\n\n");

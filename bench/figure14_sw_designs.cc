@@ -30,7 +30,7 @@ main(int argc, char **argv)
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
     harness::ResultSet rs =
-            runner.run(harness::expandSweep(spec), &globalBaselineCache());
+            runner.run(harness::expandSweep(spec), &baselineConfig());
 
     std::printf("Figure 14: normalized IPC vs MRF access latency\n\n");
     std::printf("%-8s", "latency");

@@ -25,7 +25,7 @@ main(int argc, char **argv)
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
     harness::ResultSet rs =
-            runner.run(harness::expandSweep(spec), &globalBaselineCache());
+            runner.run(harness::expandSweep(spec), &baselineConfig());
 
     std::printf("Figure 3: 8x register file, ideal vs real TFET-SRAM "
                 "latency (normalized IPC)\n\n");

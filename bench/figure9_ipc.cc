@@ -101,7 +101,7 @@ main(int argc, char **argv)
             c.config.collect_stall_stats = true;
 
     harness::ExperimentRunner runner(jobsFromArgs(argc, argv));
-    harness::ResultSet rs = runner.run(cells, &globalBaselineCache());
+    harness::ResultSet rs = runner.run(cells, &baselineConfig());
 
     printConfig(rs, 6);
     printConfig(rs, 7);

@@ -310,9 +310,9 @@ main(int argc, char **argv)
     }
 
     ExperimentRunner runner(opt.jobs);
-    BaselineCache baselines(baselineConfigFor(opt.spec), opt.spec.seed);
+    const SimConfig baseline = baselineConfigFor(opt.spec);
     ResultSet rs =
-            runner.run(cells, opt.normalize ? &baselines : nullptr);
+            runner.run(cells, opt.normalize ? &baseline : nullptr);
 
     if (!opt.quiet) {
         std::vector<double> mults = opt.spec.latency_mults;

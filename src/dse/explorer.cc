@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include "common/log.hh"
@@ -39,6 +40,18 @@ namespace
  * reason.
  */
 constexpr std::size_t POINT_BATCH = 16;
+
+/**
+ * Admitted-but-uncommitted batches the pipeline tolerates before
+ * committing the oldest. Deep enough that the pool never starves
+ * (depth x POINT_BATCH cells in flight), fixed so a 10^7-point walk
+ * holds 10^7 / POINT_BATCH tickets never.
+ */
+constexpr std::size_t MAX_STREAM_DEPTH = 64;
+
+/** Trace lane of the admission thread's instants (batch commits,
+ *  rung promotions), well clear of the pool worker ids. */
+constexpr int EXPLORER_TID = 1000;
 
 /**
  * Disjoint RNG stream tags, mixed with the search seed (mixSeeds)
@@ -222,47 +235,27 @@ class Evaluator
     /** Distinct simKey rows the cell cache ever created. */
     std::uint64_t rowInserts() const { return row_inserts; }
 
-    /** Per-cell wall-time distribution (only collected when the
-     *  trace or the progress heartbeat is on). */
-    struct CellTimes
+    /** Emit the end-of-run pool summary on stderr (--progress). */
+    void
+    informSummary()
     {
-        std::uint64_t count = 0;
-        double p50_ms = 0.0;
-        double p90_ms = 0.0;
-        double max_ms = 0.0;
-    };
-
-    CellTimes
-    cellTimes()
-    {
+        // Per-cell wall times are only collected when the trace or
+        // the progress heartbeat is on.
         std::vector<std::uint64_t> us;
         {
             std::lock_guard<std::mutex> lk(mu);
             us = cell_us;
         }
-        CellTimes ct;
-        ct.count = us.size();
-        if (us.empty())
-            return ct;
         std::sort(us.begin(), us.end());
         auto ms_at = [&](double q) {
+            if (us.empty())
+                return 0.0;
             const std::size_t i = std::min(
                     us.size() - 1,
                     static_cast<std::size_t>(
                             q * static_cast<double>(us.size())));
             return static_cast<double>(us[i]) / 1000.0;
         };
-        ct.p50_ms = ms_at(0.50);
-        ct.p90_ms = ms_at(0.90);
-        ct.max_ms = static_cast<double>(us.back()) / 1000.0;
-        return ct;
-    }
-
-    /** Emit the end-of-run pool summary on stderr (--progress). */
-    void
-    informSummary()
-    {
-        const CellTimes ct = cellTimes();
         ltrf_inform("pool: %llu cells simulated (%llu reused, %llu "
                     "cache rows), cell wall time p50 %.1f ms / p90 "
                     "%.1f ms / max %.1f ms, queue high-water %zu, "
@@ -270,7 +263,7 @@ class Evaluator
                     static_cast<unsigned long long>(sim_cells),
                     static_cast<unsigned long long>(sim_reuse),
                     static_cast<unsigned long long>(row_inserts),
-                    ct.p50_ms, ct.p90_ms, ct.max_ms,
+                    ms_at(0.50), ms_at(0.90), ms_at(1.0),
                     runner.queueHighWater(),
                     runner.inFlightHighWater());
         if (store) {
@@ -793,19 +786,104 @@ pruneCanFire(const DesignSpace &space)
     return distinct.size() >= 2;
 }
 
-DseResult
-explore(const DesignSpace &space, const ExploreOptions &opt)
+namespace
+{
+
+/** The validated shape of a run. */
+struct RunShape
+{
+    /** The active workload suite. */
+    std::vector<std::string> names;
+    /** HALVING's rungs as workload index subsets, smallest first,
+     *  each a subset of the next, the last the full suite. */
+    std::vector<std::vector<std::size_t>> rung_sel;
+};
+
+/**
+ * HALVING's fidelity levels. --rungs builds K prefix subsets of the
+ * active suite; the default is the legacy two-rung schedule
+ * [screening subset, all] with the subset from explicit names or
+ * screen_count.
+ */
+std::vector<std::vector<std::size_t>>
+rungSchedule(const ExploreOptions &opt,
+             const std::vector<std::string> &names)
+{
+    auto prefix = [](std::size_t n) {
+        std::vector<std::size_t> sel(n);
+        for (std::size_t w = 0; w < n; w++)
+            sel[w] = w;
+        return sel;
+    };
+    std::vector<std::vector<std::size_t>> rungs;
+    if (!opt.rungs.empty()) {
+        if (!opt.screen_workloads.empty())
+            ltrf_fatal("--rungs and an explicit --screen-workloads "
+                       "list are mutually exclusive (the rung "
+                       "schedule defines every screening subset)");
+        if (opt.rungs.size() < 2)
+            ltrf_fatal("--rungs needs at least two fidelity levels (a "
+                       "screening rung and the full suite)");
+        int prev = 0;
+        for (std::size_t k = 0; k < opt.rungs.size(); k++) {
+            int n = opt.rungs[k];
+            if (n == 0)    // "all"
+                n = static_cast<int>(names.size());
+            if (n < 1 || n > static_cast<int>(names.size()))
+                ltrf_fatal("rung %zu asks for %d workloads but the "
+                           "active suite has %zu", k, opt.rungs[k],
+                           names.size());
+            if (n <= prev)
+                ltrf_fatal("rung workload counts must be strictly "
+                           "increasing (rung %zu: %d after %d)", k, n,
+                           prev);
+            prev = n;
+            rungs.push_back(prefix(static_cast<std::size_t>(n)));
+        }
+        if (prev != static_cast<int>(names.size()))
+            ltrf_fatal("the last rung must be the full suite (\"all\" "
+                       "or %zu workloads); got %d", names.size(), prev);
+        return rungs;
+    }
+    std::vector<std::size_t> screen;
+    for (const std::string &s : opt.screen_workloads) {
+        const auto it = std::find(names.begin(), names.end(), s);
+        if (it == names.end())
+            ltrf_fatal("screening workload \"%s\" is not in the active "
+                       "suite", s.c_str());
+        const auto w = static_cast<std::size_t>(it - names.begin());
+        if (std::find(screen.begin(), screen.end(), w) != screen.end())
+            ltrf_fatal("screening workload \"%s\" listed twice",
+                       s.c_str());
+        screen.push_back(w);
+    }
+    if (opt.screen_workloads.empty()) {
+        if (opt.screen_count < 1)
+            ltrf_fatal("--screen-workloads must name at least one "
+                       "workload");
+        screen = prefix(std::min(
+                static_cast<std::size_t>(opt.screen_count),
+                names.size()));
+    }
+    rungs.push_back(std::move(screen));
+    rungs.push_back(prefix(names.size()));
+    return rungs;
+}
+
+/** fatal() on any option the run cannot honor; the run's shape
+ *  otherwise. */
+RunShape
+validateOptions(const DesignSpace &space, const ExploreOptions &opt)
 {
     space.validate();
-    const bool generational = opt.strategy == Strategy::EVOLVE ||
-                              opt.strategy == Strategy::HALVING;
     if ((opt.strategy == Strategy::RANDOM ||
          opt.strategy == Strategy::HILL_CLIMB) &&
         opt.budget == 0)
         ltrf_fatal("--budget is required for the %s strategy (grid "
                    "alone may walk the whole space)",
                    strategyName(opt.strategy));
-    if (generational) {
+    if (opt.strategy == Strategy::EVOLVE ||
+        opt.strategy == Strategy::HALVING) {
         if (opt.population < 2)
             ltrf_fatal("--population must be >= 2 (got %d)",
                        opt.population);
@@ -821,777 +899,687 @@ explore(const DesignSpace &space, const ExploreOptions &opt)
         ltrf_fatal("--shard %d/%d out of range (need 0 <= index < "
                    "count)", opt.shard_index, opt.shard_count);
 
-    std::vector<std::string> names = opt.workloads;
-    if (names.empty())
+    RunShape shape;
+    shape.names = opt.workloads;
+    if (shape.names.empty())
         for (const Workload &w : WorkloadSuite::all())
-            names.push_back(w.name);
+            shape.names.push_back(w.name);
     else
-        for (const std::string &n : names)
+        for (const std::string &n : shape.names)
             WorkloadSuite::byName(n);    // fatal(), listing names
 
-    std::vector<std::size_t> all_sel;
-    for (std::size_t w = 0; w < names.size(); w++)
-        all_sel.push_back(w);
-
-    // The rung schedule (HALVING): fidelity levels as workload index
-    // subsets, smallest first, each a subset of the next, ending
-    // with the full suite. --rungs builds K prefix subsets; the
-    // default is the legacy two-rung schedule [screening subset,
-    // all] with the subset from explicit names or screen_count.
-    std::vector<std::vector<std::size_t>> rung_sel;
-    std::vector<int> rung_counts;
-    std::vector<std::string> screen_names;
-    if (opt.strategy == Strategy::HALVING) {
-        if (!opt.rungs.empty()) {
-            if (!opt.screen_workloads.empty())
-                ltrf_fatal("--rungs and an explicit "
-                           "--screen-workloads list are mutually "
-                           "exclusive (the rung schedule defines "
-                           "every screening subset)");
-            if (opt.rungs.size() < 2)
-                ltrf_fatal("--rungs needs at least two fidelity "
-                           "levels (a screening rung and the full "
-                           "suite)");
-            int prev = 0;
-            for (std::size_t k = 0; k < opt.rungs.size(); k++) {
-                int n = opt.rungs[k];
-                if (n == 0)    // "all"
-                    n = static_cast<int>(names.size());
-                if (n < 1 ||
-                    n > static_cast<int>(names.size()))
-                    ltrf_fatal("rung %zu asks for %d workloads but "
-                               "the active suite has %zu", k,
-                               opt.rungs[k], names.size());
-                if (n <= prev)
-                    ltrf_fatal("rung workload counts must be "
-                               "strictly increasing (rung %zu: %d "
-                               "after %d)", k, n, prev);
-                prev = n;
-                rung_counts.push_back(n);
-                std::vector<std::size_t> sel;
-                for (std::size_t w = 0;
-                     w < static_cast<std::size_t>(n); w++)
-                    sel.push_back(w);
-                rung_sel.push_back(std::move(sel));
-            }
-            if (rung_counts.back() !=
-                static_cast<int>(names.size()))
-                ltrf_fatal("the last rung must be the full suite "
-                           "(\"all\" or %zu workloads); got %d",
-                           names.size(), rung_counts.back());
-        } else {
-            // The legacy two-rung schedule: explicit screening
-            // names, or the first screen_count workloads of the
-            // active suite, then everything.
-            std::vector<std::size_t> screen_sel;
-            if (!opt.screen_workloads.empty()) {
-                for (const std::string &s : opt.screen_workloads) {
-                    const auto it =
-                            std::find(names.begin(), names.end(), s);
-                    if (it == names.end())
-                        ltrf_fatal("screening workload \"%s\" is "
-                                   "not in the active suite",
-                                   s.c_str());
-                    const std::size_t w = static_cast<std::size_t>(
-                            it - names.begin());
-                    if (std::find(screen_sel.begin(),
-                                  screen_sel.end(), w) !=
-                        screen_sel.end())
-                        ltrf_fatal("screening workload \"%s\" "
-                                   "listed twice", s.c_str());
-                    screen_sel.push_back(w);
-                }
-            } else {
-                if (opt.screen_count < 1)
-                    ltrf_fatal("--screen-workloads must name at "
-                               "least one workload");
-                const std::size_t n = std::min(
-                        static_cast<std::size_t>(opt.screen_count),
-                        names.size());
-                for (std::size_t w = 0; w < n; w++)
-                    screen_sel.push_back(w);
-            }
-            rung_counts.push_back(
-                    static_cast<int>(screen_sel.size()));
-            rung_counts.push_back(static_cast<int>(names.size()));
-            rung_sel.push_back(std::move(screen_sel));
-            rung_sel.push_back(all_sel);
-        }
-        for (std::size_t w : rung_sel.front())
-            screen_names.push_back(names[w]);
-    } else if (!opt.rungs.empty()) {
+    if (opt.strategy == Strategy::HALVING)
+        shape.rung_sel = rungSchedule(opt, shape.names);
+    else if (!opt.rungs.empty())
         ltrf_fatal("--rungs only applies to the halving strategy "
                    "(got --strategy %s)", strategyName(opt.strategy));
-    }
 
     // A resumed frontier's objectives were measured under the saved
     // report's simulation parameters; mixing suites, SM counts, or
     // workload seeds would compare incomparable numbers. (A field
     // absent from the report cannot be checked.)
-    if (!opt.resume.empty()) {
-        if (!opt.resume.workloads.empty() &&
-            opt.resume.workloads != names)
-            ltrf_fatal("--resume report was measured on a different "
-                       "workload suite (saved {%s}, active {%s}; "
-                       "order matters)",
-                       joined(opt.resume.workloads).c_str(),
-                       joined(names).c_str());
-        if (opt.resume.has_num_sms &&
-            opt.resume.num_sms != opt.num_sms)
-            ltrf_fatal("--resume report was measured at %d SMs, not "
-                       "%d", opt.resume.num_sms, opt.num_sms);
-        if (opt.resume.has_seed && opt.resume.seed != opt.seed)
-            ltrf_fatal("--resume report used workload seed %llu, "
-                       "not %llu",
-                       static_cast<unsigned long long>(
-                               opt.resume.seed),
-                       static_cast<unsigned long long>(opt.seed));
-    }
+    const FrontierSeed &rs = opt.resume;
+    if (!rs.workloads.empty() && rs.workloads != shape.names)
+        ltrf_fatal("--resume report was measured on a different "
+                   "workload suite (saved {%s}, active {%s}; order "
+                   "matters)", joined(rs.workloads).c_str(),
+                   joined(shape.names).c_str());
+    if (rs.has_num_sms && rs.num_sms != opt.num_sms)
+        ltrf_fatal("--resume report was measured at %d SMs, not %d",
+                   rs.num_sms, opt.num_sms);
+    if (rs.has_seed && rs.seed != opt.seed)
+        ltrf_fatal("--resume report used workload seed %llu, not %llu",
+                   static_cast<unsigned long long>(rs.seed),
+                   static_cast<unsigned long long>(opt.seed));
+    return shape;
+}
 
+/**
+ * The heuristic is enabled but structurally inactive on spaces whose
+ * (possibly fallback-derived) network axis pairs each bank count
+ * with a single network — say so instead of silently pruning
+ * nothing, so a default (auto-network) run that forces --prune knows
+ * why its pruned counter stays zero.
+ */
+void
+warnInactivePrune(const DesignSpace &space)
+{
+    std::string nets;
+    for (NetworkKind n : pruneNetworks(space))
+        nets += std::string(nets.empty() ? "" : ", ") +
+                networkToken(n);
+    ltrf_warn_once("model-dominance pruning is enabled but cannot "
+                   "fire: the %s network axis pairs each bank count "
+                   "with a single network ({%s}), so the space holds "
+                   "no model-dominated variants; pass --networks "
+                   "xbar,fbfly to prune across the network axis",
+                   space.networks.empty() ? "auto (fallback)"
+                                          : "explicit",
+                   nets.c_str());
+}
+
+/** The report's echo of the run's inputs. */
+DseResult
+reportHeader(const DesignSpace &space, const ExploreOptions &opt,
+             const RunShape &shape)
+{
     DseResult res;
     res.strategy = opt.strategy;
     res.budget = opt.budget;
     res.seed = opt.seed;
-    res.workloads = names;
+    res.workloads = shape.names;
     res.num_sms = opt.num_sms;
     res.prune = opt.prune < 0
                         ? (opt.strategy == Strategy::RANDOM ||
                            opt.strategy == Strategy::HILL_CLIMB)
                         : opt.prune > 0;
     res.space_size = space.size();
-    if (generational) {
+    if (opt.strategy == Strategy::EVOLVE ||
+        opt.strategy == Strategy::HALVING) {
         res.generations = opt.generations;
         res.population = opt.population;
     }
-    res.screen_workloads = screen_names;
+    for (const std::vector<std::size_t> &sel : shape.rung_sel)
+        res.rungs.push_back(static_cast<int>(sel.size()));
+    if (!shape.rung_sel.empty())
+        for (std::size_t w : shape.rung_sel.front())
+            res.screen_workloads.push_back(shape.names[w]);
     res.promote_frac = opt.promote_frac;
-    res.rungs = rung_counts;
-    res.rung_screened.assign(rung_counts.size(), 0);
-    res.rung_promoted.assign(rung_counts.size(), 0);
+    res.rung_screened.assign(res.rungs.size(), 0);
+    res.rung_promoted.assign(res.rungs.size(), 0);
     res.shard_index = opt.shard_index;
     res.shard_count = opt.shard_count;
     res.hv_ref = opt.hv_ref;
+    return res;
+}
 
-    // The heuristic is enabled but structurally inactive on spaces
-    // whose (possibly fallback-derived) network axis pairs each
-    // bank count with a single network — say so instead of silently
-    // pruning nothing, so a default (auto-network) run that forces
-    // --prune knows why its pruned counter stays zero.
-    if (res.prune && !pruneCanFire(space)) {
-        std::string nets;
-        for (NetworkKind n : pruneNetworks(space))
-            nets += std::string(nets.empty() ? "" : ", ") +
-                    networkToken(n);
-        ltrf_warn_once("model-dominance pruning is enabled but cannot "
-                  "fire: the %s network axis pairs each bank count "
-                  "with a single network ({%s}), so the space holds "
-                  "no model-dominated variants; pass --networks "
-                  "xbar,fbfly to prune across the network axis",
-                  space.networks.empty() ? "auto (fallback)"
-                                         : "explicit",
-                  nets.c_str());
+/**
+ * The state every strategy shares — evaluator, frontier, the seen
+ * set and stripe sampler, the budget counter — and the one admission
+ * path into the frontier pipeline.
+ *
+ * Strategies hand candidates to admit(), which cuts them into
+ * POINT_BATCH slices. Each slice is pruned against every earlier
+ * admission (never against itself) and its missing cells are
+ * submitted to the pool. Commits — cells awaited, objectives folded,
+ * the frontier updated — happen strictly in admission order,
+ * whenever more than MAX_STREAM_DEPTH batches wait and at sync(), so
+ * the committed state sequence depends on the admission sequence
+ * alone. mark() closes a generation: its progress record is taken
+ * when the commit cursor reaches the generation's last batch.
+ */
+class Search
+{
+  public:
+    Search(const DesignSpace &space, const ExploreOptions &opt,
+           const RunShape &shape, DseResult &res)
+        : space(space), opt(opt), res(res), ev(opt, shape.names),
+          all_sel(shape.names.size())
+    {
+        for (std::size_t w = 0; w < all_sel.size(); w++)
+            all_sel[w] = w;
+        if (opt.trace)
+            opt.trace->threadName(Evaluator::POOL_PID, EXPLORER_TID,
+                                  "explorer");
+
+        // The sampled stripe of the enumeration order: all of it
+        // for an unsharded run, the shard_index-th of shard_count
+        // balanced index ranges otherwise.
+        const auto count = static_cast<std::uint64_t>(opt.shard_count);
+        const auto idx = static_cast<std::uint64_t>(opt.shard_index);
+        const std::uint64_t base = space.size() / count;
+        const std::uint64_t rem = space.size() % count;
+        stripe_lo = base * idx + std::min(idx, rem);
+        stripe_size = base + (idx < rem ? 1 : 0);
+
+        // Resumed points re-enter the frontier with their saved
+        // objectives, without re-simulation or budget.
+        for (const SeedPoint &sp : opt.resume.points) {
+            if (!seen.insert(sp.point.key()).second)
+                continue;
+            if (inStripe(sp.point))
+                in_stripe_seen++;
+            PointResult pr;
+            pr.point = sp.point;
+            pr.model = makeRfConfig(sp.point.modelPoint());
+            pr.obj = sp.obj;
+            pr.resumed = true;
+            prune_entries.push_back(pruneEntryFor(sp.point));
+            resumed.push_back(add(std::move(pr)));
+        }
+        res.resumed = resumed.size();
     }
 
-    Evaluator ev(opt, names);
+    const DesignSpace &space;
+    const ExploreOptions &opt;
+    DseResult &res;
+    Evaluator ev;
     ParetoFrontier frontier;
-    std::vector<PruneEntry> prune_entries;
-
-    // Admission-thread instants (batch commits, rung promotions) get
-    // a dedicated trace lane well clear of the pool worker ids.
-    constexpr int kExplorerTid = 1000;
-    if (opt.trace)
-        opt.trace->threadName(Evaluator::POOL_PID, kExplorerTid,
-                              "explorer");
-
-    // The sampled stripe of the enumeration order: all of it for an
-    // unsharded run, the shard_index-th of shard_count balanced
-    // index ranges otherwise.
-    const std::uint64_t full_size = space.size();
-    const std::uint64_t stripe_base = full_size /
-            static_cast<std::uint64_t>(opt.shard_count);
-    const std::uint64_t stripe_rem = full_size %
-            static_cast<std::uint64_t>(opt.shard_count);
-    const std::uint64_t shard_i =
-            static_cast<std::uint64_t>(opt.shard_index);
-    const std::uint64_t stripe_lo =
-            stripe_base * shard_i + std::min(shard_i, stripe_rem);
-    const std::uint64_t stripe_size =
-            stripe_base + (shard_i < stripe_rem ? 1 : 0);
-
-    // Keys ever admitted (evaluated, pruned, screened, or resumed):
-    // no strategy offers the same point twice. in_stripe_seen counts
-    // only keys inside this run's stripe of the current space —
-    // resumed points from a wider space (or another shard) must not
-    // make sampling think the stripe is exhausted.
-    std::set<std::string> seen;
-    std::uint64_t in_stripe_seen = 0;
-    auto inStripe = [&](const DesignPoint &p) {
-        if (!space.contains(p))
-            return false;
-        const std::uint64_t idx = space.indexOf(p);
-        return idx >= stripe_lo && idx < stripe_lo + stripe_size;
-    };
-
-    // Distinct candidates admitted so far (evaluated + pruned +
-    // screened); the budget caps this count. Resumed points are
-    // free.
+    std::uint64_t stripe_lo = 0;
+    std::uint64_t stripe_size = 0;
+    std::vector<int> resumed;    ///< res.evaluated indices
+    int gen = -1;                ///< stamped into PointResult::gen
+    /** Distinct candidates offered (evaluated, pruned, or screened);
+     *  the budget caps it. */
     std::uint64_t considered = 0;
 
-    int current_gen = -1;    // stamped into PointResult::gen
+    std::uint64_t
+    budgetLeft() const
+    {
+        if (opt.budget == 0)
+            return std::numeric_limits<std::uint64_t>::max();
+        return opt.budget > considered ? opt.budget - considered : 0;
+    }
 
-    // ----- The cell pipeline: full-fidelity batches are *admitted*
-    // (pruned against everything admitted so far, their missing
-    // cells submitted to the pool) and later *committed* (cells
-    // awaited, objectives folded, frontier updated) strictly in
-    // admission order. Strategies interleave the two however their
-    // data dependencies allow; the committed state sequence only
-    // ever depends on the admission sequence. -----
+    bool offered(const DesignPoint &p) const { return seen.count(p.key()); }
 
-    struct Admission
+    const PointResult &
+    at(int idx) const
+    {
+        return res.evaluated[static_cast<std::size_t>(idx)];
+    }
+
+    /**
+     * Offer @p p: false if it was offered (or resumed) before;
+     * otherwise it counts toward the budget, and toward stripe
+     * exhaustion if it lies in this run's stripe (neighbors and
+     * offspring may step outside it).
+     */
+    bool
+    claim(const DesignPoint &p)
+    {
+        if (!seen.insert(p.key()).second)
+            return false;
+        if (inStripe(p))
+            in_stripe_seen++;
+        considered++;
+        return true;
+    }
+
+    /** Hand up to @p want claimed, uniformly drawn points of this
+     *  run's stripe to @p take, in draw order. */
+    template <typename Take>
+    void
+    sample(Rng &rng, std::uint64_t want, Take &&take)
+    {
+        std::uint64_t got = 0;
+        std::uint64_t attempts = 0;
+        const std::uint64_t max_attempts = want * 64 + 1024;
+        while (got < want && in_stripe_seen < stripe_size &&
+               attempts++ < max_attempts) {
+            const DesignPoint p = space.pointAt(
+                    stripe_lo + rng.nextBounded(stripe_size));
+            if (claim(p)) {
+                got++;
+                take(p);
+            }
+        }
+    }
+
+    /** Admit @p p to the frontier pipeline: the only way in. */
+    void
+    admit(const DesignPoint &p)
+    {
+        pending.push_back(p);
+        if (pending.size() == POINT_BATCH)
+            cut();
+    }
+
+    /** Close generation @p progress_gen (see the class comment). */
+    void
+    mark(int progress_gen)
+    {
+        cut();
+        due.push_back({batches_admitted, progress_gen});
+        takeProgress();
+    }
+
+    /** Commit everything admitted. */
+    void
+    sync()
+    {
+        cut();
+        while (!pipeline.empty())
+            commitOldest();
+    }
+
+    /** Commit everything, then fill the report's frontier flags and
+     *  cost counters. */
+    void
+    finish()
+    {
+        sync();
+        for (const ParetoFrontier::Member &m : frontier.members()) {
+            res.frontier.push_back(m.point_index);
+            res.evaluated[static_cast<std::size_t>(m.point_index)]
+                    .on_frontier = true;
+        }
+        res.sim_reuse = ev.simReuse();
+        res.sim_cells = ev.simCells();
+        if (const CellStore *cs = ev.cellStore()) {
+            const CellStore::Counts c = cs->counts();
+            res.store_hits = c.hits;
+            res.store_misses = c.misses;
+            res.store_stores = c.stores;
+            res.store_errors = c.errors;
+            cs->stats().flatten(res.stats_lines);
+        }
+        res.hv = res.progress.empty() ? 0.0
+                                      : res.progress.back().hypervolume;
+        if (opt.progress)
+            ev.informSummary();
+    }
+
+  private:
+    /** An admitted batch, or a progress record due once `batches`
+     *  batches have committed. */
+    struct Batch
     {
         Evaluator::Ticket ticket;
         int gen;
     };
-    std::deque<Admission> pipeline;
-    std::uint64_t batches_admitted = 0;
-    std::uint64_t batches_committed = 0;
-
-    /** Prune @p batch against every earlier admission, then submit
-     *  the survivors' cells. Points within one batch are never
-     *  pruned against each other (pre-pipeline behavior, kept). */
-    auto admitBatch = [&](const std::vector<DesignPoint> &batch) {
-        std::vector<DesignPoint> kept;
-        for (const DesignPoint &p : batch) {
-            if (res.prune &&
-                modelDominated(prune_entries, pruneEntryFor(p))) {
-                res.pruned++;
-                continue;
-            }
-            kept.push_back(p);
-        }
-        for (const DesignPoint &p : kept)
-            prune_entries.push_back(pruneEntryFor(p));
-        if (kept.empty())
-            return;
-        pipeline.push_back(
-                {ev.begin(std::move(kept), all_sel), current_gen});
-        batches_admitted++;
+    struct Due
+    {
+        std::uint64_t batches;
+        int gen;
     };
 
-    /** Commit the oldest admission; returns the indices it added to
-     *  res.evaluated. */
-    auto commitBatch = [&]() {
-        Admission a = std::move(pipeline.front());
-        pipeline.pop_front();
-        batches_committed++;
-        std::vector<int> added;
-        for (PointResult &pr : ev.collect(a.ticket)) {
-            const int idx = static_cast<int>(res.evaluated.size());
-            pr.gen = a.gen;
-            frontier.insert(idx, pr.obj);
-            res.evaluated.push_back(std::move(pr));
-            added.push_back(idx);
-        }
-        if (opt.trace)
-            opt.trace->instant(
-                    ("commit batch " +
-                     std::to_string(batches_committed) + " (+" +
-                     std::to_string(added.size()) + " points)")
-                            .c_str(),
-                    Evaluator::POOL_PID, kExplorerTid,
-                    opt.trace->wallUs());
-        return added;
-    };
+    bool
+    inStripe(const DesignPoint &p) const
+    {
+        if (!space.contains(p))
+            return false;
+        const std::uint64_t idx = space.indexOf(p);
+        return idx >= stripe_lo && idx < stripe_lo + stripe_size;
+    }
 
-    auto commitAll = [&]() {
-        std::vector<int> added;
-        while (!pipeline.empty()) {
-            const std::vector<int> b = commitBatch();
-            added.insert(added.end(), b.begin(), b.end());
-        }
-        return added;
-    };
-
-    /** Admit @p cands in fixed POINT_BATCH slices, counting them
-     *  toward the budget unless @p counted already were. */
-    auto beginAll = [&](const std::vector<DesignPoint> &cands,
-                        bool counted = false) {
-        for (std::size_t i = 0; i < cands.size(); i += POINT_BATCH) {
-            std::vector<DesignPoint> batch(
-                    cands.begin() + static_cast<std::ptrdiff_t>(i),
-                    cands.begin() +
-                            static_cast<std::ptrdiff_t>(std::min(
-                                    i + POINT_BATCH, cands.size())));
-            if (!counted)
-                considered += batch.size();
-            admitBatch(batch);
-        }
-    };
-
-    /** Admit every slice of @p cands before collecting any of them
-     *  (cells of later slices overlap stragglers of earlier ones),
-     *  then commit in admission order. */
-    auto processAll = [&](const std::vector<DesignPoint> &cands,
-                          bool counted = false) {
-        beginAll(cands, counted);
-        return commitAll();
-    };
-
-    auto processBatch = [&](const std::vector<DesignPoint> &batch) {
-        considered += batch.size();
-        admitBatch(batch);
-        return commitAll();
-    };
-
-    // ----- Streaming admission (GRID, RANDOM): candidates arrive
-    // one at a time from a generator (a PointCursor or an RNG) and
-    // are admitted in exactly the POINT_BATCH slices beginAll()
-    // would have cut from the materialized list, so admission order
-    // — and therefore every committed byte — is unchanged; but the
-    // pipeline is drained whenever it exceeds a fixed depth, so peak
-    // memory is bounded by the depth, not the candidate count. -----
-
-    /** Admitted-but-uncommitted batches the stream tolerates before
-     *  draining. Deep enough that the pool never starves (depth x
-     *  POINT_BATCH cells in flight), fixed so a 10^7-point walk
-     *  holds 10^7 / POINT_BATCH tickets never. */
-    constexpr std::size_t MAX_STREAM_DEPTH = 64;
-    std::vector<DesignPoint> stream_batch;
-    auto streamPush = [&](const DesignPoint &p) {
-        stream_batch.push_back(p);
-        if (stream_batch.size() == POINT_BATCH) {
-            considered += stream_batch.size();
-            admitBatch(stream_batch);
-            stream_batch.clear();
-            while (pipeline.size() > MAX_STREAM_DEPTH)
-                commitBatch();
-        }
-    };
-    auto streamFlush = [&]() {
-        if (!stream_batch.empty()) {
-            considered += stream_batch.size();
-            admitBatch(stream_batch);
-            stream_batch.clear();
-        }
-        commitAll();
-    };
-
-    auto recordProgress = [&](int gen) {
-        DseResult::GenStat s;
-        s.gen = gen;
-        s.evaluated = res.evaluated.size();
-        s.frontier_size = frontier.size();
-        s.hypervolume =
-                hypervolume(frontier.objectives(), opt.hv_ref);
-        res.progress.push_back(s);
-    };
-
-    // ----- Resume seeding: saved points re-enter the frontier with
-    // their saved objectives, without re-simulation. -----
-    std::vector<int> resumed_indices;
-    for (const SeedPoint &sp : opt.resume.points) {
-        if (!seen.insert(sp.point.key()).second)
-            continue;
-        if (inStripe(sp.point))
-            in_stripe_seen++;
-        PointResult pr;
-        pr.point = sp.point;
-        pr.model = makeRfConfig(sp.point.modelPoint());
-        pr.obj = sp.obj;
-        pr.resumed = true;
+    int
+    add(PointResult pr)
+    {
         const int idx = static_cast<int>(res.evaluated.size());
         frontier.insert(idx, pr.obj);
-        prune_entries.push_back(pruneEntryFor(sp.point));
         res.evaluated.push_back(std::move(pr));
-        resumed_indices.push_back(idx);
-        res.resumed++;
+        return idx;
     }
 
-    auto budgetLeft = [&]() {
-        return opt.budget == 0
-                       ? std::numeric_limits<std::uint64_t>::max()
-                       : opt.budget > considered
-                                 ? opt.budget - considered
-                                 : 0;
-    };
+    /** Push the pending slice, pruned against every earlier
+     *  admission, then bound the pipeline depth. */
+    void
+    cut()
+    {
+        std::vector<DesignPoint> kept;
+        for (const DesignPoint &p : pending) {
+            if (res.prune &&
+                modelDominated(prune_entries, pruneEntryFor(p)))
+                res.pruned++;
+            else
+                kept.push_back(p);
+        }
+        pending.clear();
+        for (const DesignPoint &p : kept)
+            prune_entries.push_back(pruneEntryFor(p));
+        if (!kept.empty()) {
+            pipeline.push_back({ev.begin(std::move(kept), all_sel), gen});
+            batches_admitted++;
+        }
+        while (pipeline.size() > MAX_STREAM_DEPTH)
+            commitOldest();
+    }
 
-    /** Up to @p want distinct unseen samples (from this run's
-     *  stripe) from @p rng. */
-    auto sampleDistinct = [&](Rng &rng, std::uint64_t want) {
-        std::vector<DesignPoint> out;
-        std::uint64_t attempts = 0;
-        const std::uint64_t max_attempts = want * 64 + 1024;
-        while (out.size() < want && in_stripe_seen < stripe_size &&
-               attempts++ < max_attempts) {
-            DesignPoint p = space.pointAt(
-                    stripe_lo + rng.nextBounded(stripe_size));
-            if (seen.insert(p.key()).second) {
-                in_stripe_seen++;
-                out.push_back(p);
+    void
+    commitOldest()
+    {
+        Batch b = std::move(pipeline.front());
+        pipeline.pop_front();
+        batches_committed++;
+        std::vector<PointResult> folded = ev.collect(b.ticket);
+        for (PointResult &pr : folded) {
+            pr.gen = b.gen;
+            add(std::move(pr));
+        }
+        if (opt.trace)
+            opt.trace->instant(("commit batch " +
+                                std::to_string(batches_committed) +
+                                " (+" + std::to_string(folded.size()) +
+                                " points)")
+                                       .c_str(),
+                               Evaluator::POOL_PID, EXPLORER_TID,
+                               opt.trace->wallUs());
+        takeProgress();
+    }
+
+    void
+    takeProgress()
+    {
+        while (!due.empty() && due.front().batches <= batches_committed) {
+            DseResult::GenStat s;
+            s.gen = due.front().gen;
+            s.evaluated = res.evaluated.size();
+            s.frontier_size = frontier.size();
+            s.hypervolume =
+                    hypervolume(frontier.objectives(), opt.hv_ref);
+            res.progress.push_back(s);
+            due.pop_front();
+        }
+    }
+
+    std::vector<std::size_t> all_sel;
+    std::vector<PruneEntry> prune_entries;
+    /** Keys ever offered or resumed: no point is offered twice. */
+    std::set<std::string> seen;
+    std::uint64_t in_stripe_seen = 0;
+    std::vector<DesignPoint> pending;
+    std::deque<Batch> pipeline;
+    std::deque<Due> due;
+    std::uint64_t batches_admitted = 0;
+    std::uint64_t batches_committed = 0;
+};
+
+/**
+ * GRID: the stripe in enumeration order, skipping resumed points, up
+ * to the budget — streamed from a cursor, so walking a 10^7-point
+ * space never materializes the stripe. The walk only *checks* the
+ * seen set: enumeration cannot yield a key twice and no later phase
+ * reads the set, so claiming every key would grow it with the stripe
+ * for nothing.
+ */
+void
+searchGrid(Search &s)
+{
+    PointCursor cur(s.space, s.stripe_lo, s.stripe_size);
+    for (DesignPoint p; s.budgetLeft() > 0 && cur.next(p);) {
+        if (s.offered(p))
+            continue;
+        s.considered++;
+        s.admit(p);
+    }
+    s.mark(0);
+}
+
+/** RANDOM: seeded uniform draws of distinct stripe points, each
+ *  admitted as it is drawn. */
+void
+searchRandom(Search &s)
+{
+    Rng rng(s.opt.seed);
+    s.sample(rng, s.opt.budget,
+             [&](const DesignPoint &p) { s.admit(p); });
+    s.mark(0);
+}
+
+/**
+ * HILL_CLIMB: expand the best unexpanded frontier member's
+ * single-step neighborhood; when every member is expanded, restart
+ * from a seeded sample. Each restart draws from its own (seed,
+ * restart index) stream, so restart K's sample cannot drift with how
+ * many draws earlier restarts consumed.
+ */
+void
+searchHill(Search &s)
+{
+    if (s.stripe_size > 0) {
+        const DesignPoint start = s.space.pointAt(s.stripe_lo);
+        if (s.claim(start))
+            s.admit(start);
+        s.sync();
+    }
+    std::set<std::string> expanded;
+    while (s.budgetLeft() > 0) {
+        // First in-space frontier member (best IPC) not yet
+        // expanded. Resumed members outside the restricted space
+        // still anchor the frontier, but expanding them would step
+        // sideways out of the space the user asked for.
+        std::optional<DesignPoint> pick;
+        for (const ParetoFrontier::Member &m : s.frontier.members()) {
+            const DesignPoint &p = s.at(m.point_index).point;
+            if (!expanded.count(p.key()) && s.space.contains(p)) {
+                pick = p;
+                break;
             }
         }
-        return out;
+        if (pick) {
+            expanded.insert(pick->key());
+            for (const DesignPoint &n : s.space.neighbors(*pick)) {
+                if (s.budgetLeft() == 0)
+                    break;
+                if (s.claim(n))
+                    s.admit(n);
+            }
+        } else {
+            Rng rng(mixSeeds(s.opt.seed,
+                             STREAM_HILL_RESTART + s.res.restarts));
+            s.res.restarts++;
+            bool drawn = false;
+            s.sample(rng, 1, [&](const DesignPoint &p) {
+                s.admit(p);
+                drawn = true;
+            });
+            if (!drawn)
+                break;    // space exhausted
+        }
+        s.sync();
+    }
+    s.mark(0);
+}
+
+/** Objective vectors of the res.evaluated entries @p idxs. */
+std::vector<Objectives>
+objectivesOf(const Search &s, const std::vector<int> &idxs)
+{
+    std::vector<Objectives> objs;
+    objs.reserve(idxs.size());
+    for (int i : idxs)
+        objs.push_back(s.at(i).obj);
+    return objs;
+}
+
+/**
+ * EVOLVE: generation 0 is the in-space resumed points plus a random
+ * top-up (a resume with --generations 0 is a pure replay and
+ * evaluates nothing); each later generation breeds offspring by
+ * tournament, crossover, and mutation, then keeps the NSGA-II best
+ * of parents + offspring.
+ */
+void
+searchEvolve(Search &s)
+{
+    const ExploreOptions &opt = s.opt;
+    const auto pop_size = static_cast<std::size_t>(opt.population);
+    // Committed points land at the end of res.evaluated.
+    auto appendSince = [&](int first, std::vector<int> &to) {
+        for (int i = first; i < static_cast<int>(s.res.evaluated.size());
+             i++)
+            to.push_back(i);
     };
 
+    std::vector<int> population;
+    for (int idx : s.resumed)
+        if (s.space.contains(s.at(idx).point))
+            population.push_back(idx);
+    s.gen = 0;
+    int first = static_cast<int>(s.res.evaluated.size());
+    if (opt.generations > 0 || s.resumed.empty()) {
+        Rng rng(mixSeeds(opt.seed, STREAM_EVOLVE_INIT));
+        const std::uint64_t want = std::min<std::uint64_t>(
+                s.budgetLeft(), population.size() < pop_size
+                                        ? pop_size - population.size()
+                                        : 0);
+        s.sample(rng, want, [&](const DesignPoint &p) { s.admit(p); });
+    }
+    s.mark(0);
+    s.sync();
+    appendSince(first, population);
+
+    for (int g = 1; g <= opt.generations; g++) {
+        if (population.size() < 2 || s.budgetLeft() == 0)
+            break;
+        s.gen = g;
+        first = static_cast<int>(s.res.evaluated.size());
+        Rng rng(mixSeeds(opt.seed, STREAM_EVOLVE_GEN +
+                                           static_cast<std::uint64_t>(g)));
+        const std::vector<Objectives> objs =
+                objectivesOf(s, population);
+        const std::vector<int> rank = nonDominationRanks(objs);
+        const std::vector<double> crowd = crowdingDistances(objs, rank);
+        auto parent = [&]() -> const DesignPoint & {
+            const std::size_t a = rng.nextBounded(population.size());
+            const std::size_t b = rng.nextBounded(population.size());
+            const std::size_t w = nsgaBetter(a, b, rank, crowd) ? a : b;
+            return s.at(population[w]).point;
+        };
+
+        // Breed up to a population of distinct, unseen offspring
+        // (bounded attempts: a tight space or a converged population
+        // may have nothing new to offer).
+        const std::uint64_t want =
+                std::min<std::uint64_t>(s.budgetLeft(), pop_size);
+        std::uint64_t bred = 0;
+        std::uint64_t attempts = 0;
+        const std::uint64_t max_attempts = want * 64 + 256;
+        while (bred < want && attempts++ < max_attempts) {
+            // The references stay valid: nothing commits before the
+            // child is admitted.
+            const DesignPoint &pa = parent();
+            const DesignPoint &pb = parent();
+            DesignPoint child = crossover(pa, pb, rng, s.space);
+            if (rng.nextBool(MUTATION_P)) {
+                const std::vector<DesignPoint> nb =
+                        s.space.neighbors(child);
+                if (!nb.empty())
+                    child = nb[rng.nextBounded(nb.size())];
+            }
+            if (s.claim(child)) {
+                s.admit(child);
+                bred++;
+            }
+        }
+        s.mark(g);
+        if (bred == 0)
+            break;
+        s.sync();
+
+        // Environmental selection over parents + offspring.
+        std::vector<int> pool = population;
+        appendSince(first, pool);
+        const std::vector<std::size_t> order =
+                nsgaOrder(objectivesOf(s, pool));
+        population.clear();
+        for (std::size_t k = 0; k < order.size() && k < pop_size; k++)
+            population.push_back(pool[order[k]]);
+    }
+}
+
+/**
+ * HALVING: every generation's pool is sampled and its first-rung
+ * screening submitted up front — sampling reads only the seen set
+ * and the budget, never a result — so later generations' screens
+ * run while earlier generations' promotions are in flight. Each
+ * generation then cascades through the rung schedule: ranking rung
+ * k waits only on rung k's cells, each promotion reuses every cell
+ * screened below it, and the full-fidelity survivors are admitted to
+ * the frontier pipeline.
+ */
+void
+searchHalving(Search &s, const RunShape &shape)
+{
+    const ExploreOptions &opt = s.opt;
+    DseResult &res = s.res;
+    s.mark(0);
+
+    struct Pool
+    {
+        std::vector<DesignPoint> points;
+        Evaluator::Ticket screen;
+    };
+    std::vector<Pool> pools;
+    for (int g = 0; g < opt.generations && s.budgetLeft() > 0; g++) {
+        Rng rng(mixSeeds(opt.seed, STREAM_HALVING_GEN +
+                                           static_cast<std::uint64_t>(g)));
+        Pool pool;
+        s.sample(rng,
+                 std::min<std::uint64_t>(
+                         s.budgetLeft(),
+                         static_cast<std::uint64_t>(opt.population)),
+                 [&](const DesignPoint &p) {
+                     pool.points.push_back(p);
+                 });
+        if (pool.points.empty())
+            break;    // space exhausted
+        res.screened += pool.points.size();
+        res.rung_screened[0] += pool.points.size();
+        pool.screen = s.ev.begin(pool.points, shape.rung_sel[0]);
+        pools.push_back(std::move(pool));
+    }
+
+    const std::size_t num_rungs = shape.rung_sel.size();
+    for (std::size_t gi = 0; gi < pools.size(); gi++) {
+        s.gen = static_cast<int>(gi) + 1;
+        std::vector<DesignPoint> survivors = std::move(pools[gi].points);
+        Evaluator::Ticket ticket = std::move(pools[gi].screen);
+        for (std::size_t k = 0; k + 1 < num_rungs; k++) {
+            const std::vector<PointResult> screened = s.ev.collect(ticket);
+            std::vector<Objectives> objs;
+            objs.reserve(screened.size());
+            for (const PointResult &pr : screened)
+                objs.push_back(pr.obj);
+            const std::vector<std::size_t> order = nsgaOrder(objs);
+            // At least one, at most all.
+            const std::size_t promote = std::min(
+                    survivors.size(),
+                    std::max<std::size_t>(
+                            1, static_cast<std::size_t>(std::ceil(
+                                       static_cast<double>(
+                                               survivors.size()) *
+                                       opt.promote_frac))));
+            std::vector<DesignPoint> next;
+            next.reserve(promote);
+            for (std::size_t j = 0; j < promote; j++)
+                next.push_back(survivors[order[j]]);
+            res.rung_promoted[k] += promote;
+            if (opt.trace)
+                opt.trace->instant(
+                        ("gen " + std::to_string(s.gen) + " rung " +
+                         std::to_string(k) + ": promote " +
+                         std::to_string(promote) + "/" +
+                         std::to_string(survivors.size()))
+                                .c_str(),
+                        Evaluator::POOL_PID, EXPLORER_TID,
+                        opt.trace->wallUs());
+            survivors = std::move(next);
+            if (k + 2 < num_rungs) {
+                // An intermediate screening rung: still below full
+                // fidelity, so its points count as screened.
+                res.screened += survivors.size();
+                res.rung_screened[k + 1] += survivors.size();
+                ticket = s.ev.begin(survivors, shape.rung_sel[k + 1]);
+            }
+        }
+        res.rung_screened[num_rungs - 1] += survivors.size();
+        for (const DesignPoint &p : survivors)
+            s.admit(p);
+        s.mark(s.gen);
+    }
+}
+
+} // namespace
+
+DseResult
+explore(const DesignSpace &space, const ExploreOptions &opt)
+{
+    const RunShape shape = validateOptions(space, opt);
+    DseResult res = reportHeader(space, opt, shape);
+    if (res.prune && !pruneCanFire(space))
+        warnInactivePrune(space);
+
+    Search s(space, opt, shape, res);
     switch (opt.strategy) {
-      case Strategy::GRID: {
-          // Stripe enumeration order, skipping resumed points, up
-          // to the budget — streamed from a cursor, so walking a
-          // 10^7-point space with (or without) a budget never
-          // materializes the stripe. `seen` is only *checked* here:
-          // grid enumeration cannot yield a key twice and no later
-          // phase reads the set, so inserting every admitted key
-          // would grow it with the stripe for nothing.
-          PointCursor cur(space, stripe_lo, stripe_size);
-          std::uint64_t admitted = 0;
-          for (DesignPoint p;
-               (!opt.budget || admitted < opt.budget) && cur.next(p);) {
-              if (seen.count(p.key()))
-                  continue;
-              admitted++;
-              streamPush(p);
-          }
-          streamFlush();
-          recordProgress(0);
-          break;
-      }
-      case Strategy::RANDOM: {
-          // The exact draw/acceptance sequence of
-          // sampleDistinct(rng, budget) — same attempt cap, same
-          // dedup against `seen` — with each accepted point admitted
-          // immediately instead of collected first.
-          Rng rng(opt.seed);
-          const std::uint64_t want = opt.budget;
-          std::uint64_t got = 0, attempts = 0;
-          const std::uint64_t max_attempts = want * 64 + 1024;
-          while (got < want && in_stripe_seen < stripe_size &&
-                 attempts++ < max_attempts) {
-              DesignPoint p = space.pointAt(
-                      stripe_lo + rng.nextBounded(stripe_size));
-              if (!seen.insert(p.key()).second)
-                  continue;
-              in_stripe_seen++;
-              got++;
-              streamPush(p);
-          }
-          streamFlush();
-          recordProgress(0);
-          break;
-      }
-      case Strategy::HILL_CLIMB: {
-          std::set<std::string> expanded;
-          if (stripe_size > 0) {
-              DesignPoint start = space.pointAt(stripe_lo);
-              if (seen.insert(start.key()).second) {
-                  in_stripe_seen++;
-                  processBatch({start});
-              }
-          }
-          while (considered < opt.budget) {
-              // First in-space frontier member (best IPC) not yet
-              // expanded. Resumed members outside the restricted
-              // space still anchor the frontier, but expanding them
-              // would step sideways out of the space the user asked
-              // for (neighbors() only skips the out-of-range axis
-              // itself).
-              const DesignPoint *pick = nullptr;
-              for (const ParetoFrontier::Member &m :
-                   frontier.members()) {
-                  const DesignPoint &p =
-                          res.evaluated[static_cast<std::size_t>(
-                                                m.point_index)]
-                                  .point;
-                  if (!expanded.count(p.key()) &&
-                      space.contains(p)) {
-                      pick = &p;
-                      break;
-                  }
-              }
-              if (pick) {
-                  expanded.insert(pick->key());
-                  std::vector<DesignPoint> cands;
-                  for (const DesignPoint &n : space.neighbors(*pick)) {
-                      if (considered + cands.size() >= opt.budget)
-                          break;
-                      if (seen.insert(n.key()).second) {
-                          // Expansion follows the frontier and may
-                          // leave a shard's stripe; only in-stripe
-                          // keys count toward sampling exhaustion.
-                          if (inStripe(n))
-                              in_stripe_seen++;
-                          cands.push_back(n);
-                      }
-                  }
-                  if (!cands.empty())
-                      processBatch(cands);
-                  continue;
-              }
-              // Every frontier member expanded: seeded restart. Each
-              // restart draws from its own (seed, restart index)
-              // stream, so restart K's samples cannot drift with how
-              // many draws earlier restarts or batches consumed.
-              Rng rrng(mixSeeds(opt.seed,
-                                STREAM_HILL_RESTART + res.restarts));
-              res.restarts++;
-              const std::vector<DesignPoint> restart =
-                      sampleDistinct(rrng, 1);
-              if (restart.empty())
-                  break;    // space exhausted
-              processBatch(restart);
-          }
-          recordProgress(0);
-          break;
-      }
-      case Strategy::EVOLVE: {
-          // Generation 0: in-space resumed points plus a random
-          // top-up. A resume with --generations 0 is a pure replay
-          // and evaluates nothing.
-          std::vector<int> population;
-          for (int idx : resumed_indices)
-              if (space.contains(
-                          res.evaluated[static_cast<std::size_t>(idx)]
-                                  .point))
-                  population.push_back(idx);
-          current_gen = 0;
-          if (opt.generations > 0 || resumed_indices.empty()) {
-              Rng init_rng(
-                      mixSeeds(opt.seed, STREAM_EVOLVE_INIT));
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      population.size() <
-                                      static_cast<std::size_t>(
-                                              opt.population)
-                              ? static_cast<std::uint64_t>(
-                                        opt.population) -
-                                        population.size()
-                              : 0);
-              const std::vector<int> added =
-                      processAll(sampleDistinct(init_rng, want));
-              population.insert(population.end(), added.begin(),
-                                added.end());
-          }
-          recordProgress(0);
-
-          auto objsOf = [&](const std::vector<int> &idxs) {
-              std::vector<Objectives> objs;
-              objs.reserve(idxs.size());
-              for (int i : idxs)
-                  objs.push_back(
-                          res.evaluated[static_cast<std::size_t>(i)]
-                                  .obj);
-              return objs;
-          };
-
-          for (int g = 1; g <= opt.generations; g++) {
-              if (population.size() < 2 || budgetLeft() == 0)
-                  break;
-              current_gen = g;
-              Rng rng(mixSeeds(opt.seed, STREAM_EVOLVE_GEN +
-                                       static_cast<std::uint64_t>(g)));
-              const std::vector<Objectives> objs = objsOf(population);
-              const std::vector<int> rank = nonDominationRanks(objs);
-              const std::vector<double> crowd =
-                      crowdingDistances(objs, rank);
-              auto tournament = [&]() {
-                  const std::size_t a =
-                          rng.nextBounded(population.size());
-                  const std::size_t b =
-                          rng.nextBounded(population.size());
-                  return nsgaBetter(a, b, rank, crowd) ? a : b;
-              };
-
-              // Breed up to a population of distinct, unseen
-              // offspring (bounded attempts: a tight space or a
-              // converged population may have nothing new to offer).
-              std::vector<DesignPoint> offspring;
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      static_cast<std::uint64_t>(opt.population));
-              std::uint64_t attempts = 0;
-              const std::uint64_t max_attempts = want * 64 + 256;
-              while (offspring.size() < want &&
-                     attempts++ < max_attempts) {
-                  const std::size_t pa = tournament();
-                  const std::size_t pb = tournament();
-                  DesignPoint child = crossover(
-                          res.evaluated[static_cast<std::size_t>(
-                                                population[pa])]
-                                  .point,
-                          res.evaluated[static_cast<std::size_t>(
-                                                population[pb])]
-                                  .point,
-                          rng, space);
-                  if (rng.nextBool(MUTATION_P)) {
-                      const std::vector<DesignPoint> nb =
-                              space.neighbors(child);
-                      if (!nb.empty())
-                          child = nb[rng.nextBounded(nb.size())];
-                  }
-                  if (seen.insert(child.key()).second) {
-                      if (inStripe(child))
-                          in_stripe_seen++;
-                      offspring.push_back(child);
-                  }
-              }
-              if (offspring.empty()) {
-                  recordProgress(g);
-                  break;
-              }
-              const std::vector<int> added = processAll(offspring);
-
-              // Environmental selection over parents + offspring.
-              std::vector<int> pool = population;
-              pool.insert(pool.end(), added.begin(), added.end());
-              const std::vector<std::size_t> order =
-                      nsgaOrder(objsOf(pool));
-              population.clear();
-              for (std::size_t k = 0;
-                   k < order.size() &&
-                   k < static_cast<std::size_t>(opt.population);
-                   k++)
-                  population.push_back(
-                          pool[order[k]]);
-              recordProgress(g);
-          }
-          break;
-      }
-      case Strategy::HALVING: {
-          recordProgress(0);
-          const std::size_t num_rungs = rung_sel.size();
-
-          // Phase A: the admission schedule is simulation-free —
-          // pool sampling reads only `seen` and the budget — so
-          // every generation's pool is sampled and its first-rung
-          // screening submitted before any result is collected.
-          // Later generations' screens run while earlier
-          // generations' promotions are still in flight.
-          struct GenPlan
-          {
-              std::vector<DesignPoint> pool;
-              Evaluator::Ticket screen;
-          };
-          std::vector<GenPlan> plan;
-          for (int g = 0; g < opt.generations; g++) {
-              if (budgetLeft() == 0)
-                  break;
-              Rng rng(mixSeeds(opt.seed, STREAM_HALVING_GEN +
-                                       static_cast<std::uint64_t>(g)));
-              const std::uint64_t want = std::min(
-                      budgetLeft(),
-                      static_cast<std::uint64_t>(opt.population));
-              std::vector<DesignPoint> pool =
-                      sampleDistinct(rng, want);
-              if (pool.empty())
-                  break;    // space exhausted
-              considered += pool.size();
-              res.screened += pool.size();
-              res.rung_screened[0] += pool.size();
-              GenPlan gp;
-              gp.screen = ev.begin(pool, rung_sel[0]);
-              gp.pool = std::move(pool);
-              plan.push_back(std::move(gp));
-          }
-
-          /** At least one, at most all: the per-rung promotion
-           *  cut. */
-          auto promoteCut = [&](std::size_t n) {
-              return std::min(
-                      n, std::max<std::size_t>(
-                                 1, static_cast<std::size_t>(
-                                            std::ceil(static_cast<
-                                                              double>(
-                                                              n) *
-                                                      opt.promote_frac))));
-          };
-
-          // Phase B: cascade each generation through the rung
-          // schedule. Ranking the k-th rung's survivors waits only
-          // on that rung's cells; each promotion reuses every cell
-          // screened at lower rungs, simulating just the workloads
-          // the next rung adds. Full-fidelity admissions queue up
-          // behind `marks` and commit — in admission order — after
-          // the cascades, so one generation's stragglers never gate
-          // the next generation's rungs.
-          struct Mark
-          {
-              std::uint64_t batches;
-              int gen;
-          };
-          std::vector<Mark> marks;
-          for (std::size_t gi = 0; gi < plan.size(); gi++) {
-              current_gen = static_cast<int>(gi) + 1;
-              std::vector<DesignPoint> survivors =
-                      std::move(plan[gi].pool);
-              Evaluator::Ticket ticket = std::move(plan[gi].screen);
-              for (std::size_t k = 0; k + 1 < num_rungs; k++) {
-                  const std::vector<PointResult> screened =
-                          ev.collect(ticket);
-                  std::vector<Objectives> objs;
-                  objs.reserve(screened.size());
-                  for (const PointResult &pr : screened)
-                      objs.push_back(pr.obj);
-                  const std::vector<std::size_t> order =
-                          nsgaOrder(objs);
-                  const std::size_t promote =
-                          promoteCut(survivors.size());
-                  std::vector<DesignPoint> next;
-                  next.reserve(promote);
-                  for (std::size_t j = 0; j < promote; j++)
-                      next.push_back(survivors[order[j]]);
-                  res.rung_promoted[k] += promote;
-                  if (opt.trace)
-                      opt.trace->instant(
-                              ("gen " +
-                               std::to_string(current_gen) +
-                               " rung " + std::to_string(k) +
-                               ": promote " +
-                               std::to_string(promote) + "/" +
-                               std::to_string(survivors.size()))
-                                      .c_str(),
-                              Evaluator::POOL_PID, kExplorerTid,
-                              opt.trace->wallUs());
-                  survivors = std::move(next);
-                  if (k + 2 < num_rungs) {
-                      // An intermediate screening rung: still below
-                      // full fidelity, so its points count as
-                      // screened, not evaluated.
-                      res.screened += survivors.size();
-                      res.rung_screened[k + 1] += survivors.size();
-                      ticket = ev.begin(survivors, rung_sel[k + 1]);
-                  }
-              }
-              res.rung_screened[num_rungs - 1] += survivors.size();
-              beginAll(survivors, /*counted=*/true);
-              marks.push_back({batches_admitted, current_gen});
-          }
-          for (const Mark &m : marks) {
-              while (batches_committed < m.batches)
-                  commitBatch();
-              recordProgress(m.gen);
-          }
-          break;
-      }
+      case Strategy::GRID:       searchGrid(s); break;
+      case Strategy::RANDOM:     searchRandom(s); break;
+      case Strategy::HILL_CLIMB: searchHill(s); break;
+      case Strategy::EVOLVE:     searchEvolve(s); break;
+      case Strategy::HALVING:    searchHalving(s, shape); break;
     }
-
-    for (const ParetoFrontier::Member &m : frontier.members()) {
-        res.frontier.push_back(m.point_index);
-        res.evaluated[static_cast<std::size_t>(m.point_index)]
-                .on_frontier = true;
-    }
-    res.sim_reuse = ev.simReuse();
-    res.sim_cells = ev.simCells();
-    if (const CellStore *cs = ev.cellStore()) {
-        const CellStore::Counts c = cs->counts();
-        res.store_hits = c.hits;
-        res.store_misses = c.misses;
-        res.store_stores = c.stores;
-        res.store_errors = c.errors;
-        cs->stats().flatten(res.stats_lines);
-    }
-    res.hv = res.progress.empty() ? 0.0
-                                  : res.progress.back().hypervolume;
-    if (opt.progress)
-        ev.informSummary();
+    s.finish();
     return res;
 }
 

@@ -46,29 +46,31 @@
  * the frontier without re-simulation and, for EVOLVE, form the
  * initial population.
  *
- * Determinism model: candidates are *admitted* to a cell-level
- * pipeline in a sequence that depends only on (seed, options) —
- * every admission decision (sampling, pruning, selection,
- * promotion) reads either seeded RNG streams, analytic scalars, or
- * results that were themselves committed deterministically — and
- * frontier/report *commits* happen strictly in admission order. In
- * between, each admitted (simKey, workload) cell is an independent
- * task on a work-stealing pool, so a straggler cell never gates the
- * cells admitted after it (the next halving pool's screens run
- * while a previous rung's promotions finish), yet the committed
- * result, and its serialized form, is byte-identical for any
- * `--jobs` value.
+ * Determinism model: every strategy is a generator that hands
+ * candidates to one admission path. Admission cuts them into
+ * fixed-size batches, prunes each batch against everything admitted
+ * before it, and submits the batch's missing (simKey, workload)
+ * cells to a work-stealing pool; commits (cells awaited, objectives
+ * folded, frontier updated) happen strictly in admission order. The
+ * admission sequence depends only on (seed, options) — every
+ * decision reads seeded RNG streams, analytic scalars, or results
+ * that were themselves committed deterministically — so the
+ * committed result, and its serialized form, is byte-identical for
+ * any `--jobs` value, while a straggler cell never gates the cells
+ * admitted after it (the next halving pool's screens run while a
+ * previous rung's promotions finish).
  *
- * GRID and RANDOM admit from streaming generators (a PointCursor
- * over the stripe, the sampling RNG) against a bounded pipeline
- * depth instead of materializing their candidate lists, so peak
- * memory is independent of the space size; the admission sequence —
- * and therefore every committed byte — is identical to the
- * materializing formulation. With ExploreOptions::cache_dir set,
- * each admitted cell is additionally served from / persisted to an
- * on-disk content-addressed store, replacing re-simulation across
- * processes without touching the report (a loaded cell folds
- * bit-identically to a fresh one).
+ * The pipeline commits its oldest batch whenever more than a fixed
+ * number of batches wait, for every strategy, so peak memory is
+ * bounded by that depth rather than by the candidate count (GRID
+ * and RANDOM stream from a PointCursor and the sampling RNG without
+ * materializing their candidate lists). A generation's progress
+ * record is taken when the commit cursor reaches its last batch, so
+ * it does not depend on when commits actually ran. With
+ * ExploreOptions::cache_dir set, each admitted cell is additionally
+ * served from / persisted to an on-disk content-addressed store,
+ * replacing re-simulation across processes without touching the
+ * report (a loaded cell folds bit-identically to a fresh one).
  */
 
 #ifndef LTRF_DSE_EXPLORER_HH

@@ -617,7 +617,8 @@ DesignSpace::validate() const
             a.check(v);
     }
     // Cross-axis constraints the per-value checks cannot see: the
-    // cache must partition evenly over the warps, and every explicit
+    // cache must partition evenly over the warps, an auto interval
+    // length (the partition) must be formable, and every explicit
     // interval length must fit the smallest per-warp partition it
     // can be paired with (grid enumeration walks the full cross
     // product, so one bad pairing is a user error up front).
@@ -632,6 +633,10 @@ DesignSpace::validate() const
                 ltrf_fatal("per-warp cache partition %d regs (cache "
                            "%dKB, %d warps) out of range", per_warp,
                            c, w);
+            // An auto interval length is the partition itself, so
+            // it must pass the interval axis's own range check.
+            if (intervals.empty())
+                axisRegistry()[AXIS_INTERVAL].check(per_warp);
             for (int ivl : intervals)
                 if (ivl > per_warp)
                     ltrf_fatal("interval length %d regs exceeds the "

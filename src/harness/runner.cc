@@ -1,8 +1,9 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
+#include <map>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -20,37 +21,6 @@ defaultJobs()
 {
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/**
- * Drain @p tasks on @p jobs workers. The queue is just an atomic
- * cursor: tasks are independent and their outputs land at
- * preassigned indices, so no further coordination is needed.
- */
-void
-runPool(const std::vector<std::function<void()>> &tasks, int jobs)
-{
-    if (jobs <= 1) {
-        for (const auto &t : tasks)
-            t();
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-        while (true) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size())
-                return;
-            tasks[i]();
-        }
-    };
-    std::vector<std::thread> threads;
-    int spawn = std::min<int>(jobs, static_cast<int>(tasks.size()));
-    threads.reserve(static_cast<std::size_t>(spawn));
-    for (int t = 0; t < spawn; t++)
-        threads.emplace_back(worker);
-    for (std::thread &t : threads)
-        t.join();
 }
 
 } // namespace
@@ -151,57 +121,47 @@ ExperimentRunner::drain()
 }
 
 void
-ExperimentRunner::runTasks(
-        const std::vector<std::function<void()>> &tasks) const
+ExperimentRunner::runTasks(const std::vector<std::function<void()>> &tasks)
 {
-    runPool(tasks, num_jobs);
+    for (const auto &t : tasks)
+        submit(t);
+    drain();
 }
 
 ResultSet
 ExperimentRunner::run(const std::vector<SweepCell> &cells,
-                      BaselineCache *baselines)
+                      const SimConfig *baseline)
 {
-    std::vector<SimResult> results(cells.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(cells.size() + 16);
-
-    // Baseline warm-up first: with cells sorted workload-major, the
-    // normalizing run of each workload would otherwise be computed
-    // inside whichever cell task asks first while its siblings
-    // block; as dedicated pool tasks they overlap with cell work.
-    if (baselines) {
-        std::vector<std::string> warm;
+    // One baseline slot per distinct workload, submitted ahead of the
+    // cells so the normalizing runs overlap with cell work.
+    std::map<std::string, double> baseline_ipc;
+    if (baseline) {
         for (const SweepCell &c : cells) {
-            bool seen = false;
-            for (const std::string &w : warm)
-                if (w == c.workload)
-                    seen = true;
-            if (!seen)
-                warm.push_back(c.workload);
+            auto [it, fresh] = baseline_ipc.emplace(c.workload, 0.0);
+            if (fresh)
+                submit([baseline, &c, slot = &it->second] {
+                    const Workload &w = WorkloadSuite::byName(c.workload);
+                    *slot = simulate(*baseline, w.kernel, c.seed).ipc;
+                });
         }
-        for (const std::string &w : warm)
-            tasks.push_back([baselines, w] {
-                baselines->ipc(WorkloadSuite::byName(w));
-            });
     }
 
+    std::vector<SimResult> results(cells.size());
     for (std::size_t i = 0; i < cells.size(); i++)
-        tasks.push_back([&cells, &results, i] {
+        submit([&cells, &results, i] {
             const SweepCell &c = cells[i];
             const Workload &w = WorkloadSuite::byName(c.workload);
             results[i] = simulate(c.config, w.kernel, c.seed);
         });
-
-    runPool(tasks, num_jobs);
+    drain();
 
     ResultSet rs;
     for (std::size_t i = 0; i < cells.size(); i++) {
         ResultRow row;
         row.cell = cells[i];
-        row.result = results[i];
-        if (baselines)
-            row.baseline_ipc =
-                    baselines->ipc(WorkloadSuite::byName(cells[i].workload));
+        row.result = std::move(results[i]);
+        if (baseline)
+            row.baseline_ipc = baseline_ipc.at(cells[i].workload);
         rs.add(std::move(row));
     }
     return rs;

@@ -4,28 +4,23 @@
  *
  * Each (workload, config) cell of a sweep is an independent Gpu
  * instance, so the runner executes cells on a fixed-size pool of
- * std::threads. Two feeding modes share the pool budget:
+ * std::threads. The pool has one feeding mode: submit() enqueues a
+ * task on a persistent work-stealing queue and drain() waits until
+ * every submitted task has finished. Idle workers steal the next
+ * task the moment they finish their current one, so a straggler
+ * never gates tasks submitted after it — the foundation of the DSE
+ * engine's cell-level pipeline, where later candidates' cells run
+ * while an earlier slow cell is still simulating. Callers that need
+ * a specific task's output synchronize on their own completion
+ * flags.
  *
- *  - Batched: run()/runTasks() drain a fixed task vector through an
- *    atomic work queue and return when every task finished. Results
- *    land at preassigned indices, so they are in sweep order and
- *    bit-identical regardless of the job count — the property the
- *    CI determinism guard (`--jobs 1` vs `--jobs 8`) checks.
- *
- *  - Streaming: submit()/drain() feed a persistent work-stealing
- *    pool one task at a time. Idle workers steal the next task from
- *    a shared queue the moment they finish their current one, so a
- *    straggler task never gates tasks submitted after it — the
- *    foundation of the DSE engine's cell-level pipeline, where the
- *    next candidate batch's cells run while a previous batch's slow
- *    cell is still simulating. Callers that need a specific task's
- *    output synchronize on their own completion flags; drain()
- *    waits for everything.
- *
- * When a BaselineCache is supplied, run() first warms it for every
- * distinct workload in the sweep (as pool work, so baselines also
- * run in parallel) and then attaches baseline IPCs to every row for
- * normalization.
+ * run() and runTasks() are submit-then-drain wrappers for a fixed
+ * task set. Every task writes a preassigned slot, so results come
+ * back in sweep order and bit-identical for any job count — the
+ * property the golden determinism tests (`--jobs 1` vs `--jobs 2`)
+ * check. Given a baseline configuration, run() also simulates each
+ * distinct workload's baseline as one more pool task and normalizes
+ * every row against it.
  */
 
 #ifndef LTRF_HARNESS_RUNNER_HH
@@ -38,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "harness/baseline_cache.hh"
 #include "harness/result_set.hh"
 #include "harness/sweep.hh"
 
@@ -62,21 +56,21 @@ class ExperimentRunner
 
     /**
      * Execute every cell of @p cells (in parallel up to the job
-     * count) and collect results in cell order. If @p baselines is
-     * non-null, each row is normalized against its workload's
-     * baseline IPC from that cache.
+     * count) and collect results in cell order. If @p baseline is
+     * non-null, each distinct workload is also simulated once under
+     * that configuration (with the seed of its first cell) and every
+     * row is normalized against its workload's baseline IPC.
      */
     ResultSet run(const std::vector<SweepCell> &cells,
-                  BaselineCache *baselines = nullptr);
+                  const SimConfig *baseline = nullptr);
 
     /**
-     * Drain independent @p tasks on the worker pool. For harness
-     * work that is not a simulate() cell (compiler/trace analyses,
-     * DSE batches); tasks must write their outputs to preassigned
-     * slots so results are deterministic regardless of the job
-     * count.
+     * Run independent @p tasks on the pool and wait for them. For
+     * harness work that is not a simulate() cell (compiler/trace
+     * analyses); tasks must write their outputs to preassigned slots
+     * so results are deterministic regardless of the job count.
      */
-    void runTasks(const std::vector<std::function<void()>> &tasks) const;
+    void runTasks(const std::vector<std::function<void()>> &tasks);
 
     /**
      * Enqueue @p task on the streaming pool and return immediately.
@@ -95,10 +89,9 @@ class ExperimentRunner
     int jobs() const { return num_jobs; }
 
     /**
-     * Streaming-pool observability: the deepest the shared queue
-     * ever got, and the most tasks ever queued + running at once.
-     * Both 0 for purely batched (run()/runTasks()) use and with 1
-     * job (submit() runs inline).
+     * Pool observability: the deepest the shared queue ever got, and
+     * the most tasks ever queued + running at once. Both stay 0 with
+     * 1 job, where submit() runs each task inline.
      */
     std::size_t queueHighWater();
     std::size_t inFlightHighWater();
@@ -108,7 +101,7 @@ class ExperimentRunner
 
     int num_jobs;
 
-    // Streaming-pool state. The queue is deliberately simple: one
+    // Pool state. The queue is deliberately simple: one
     // mutex-guarded deque all workers steal from. Simulation cells
     // run for milliseconds to seconds, so queue contention is noise,
     // and a single queue keeps submission order = start order, which

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "dse/explorer.hh"
 #include "dse/pareto.hh"
@@ -165,6 +166,19 @@ TEST(DesignSpaceDeathTest, ValidateRejectsBadAxes)
     s2.cache_kbs = {9};    // 72 regs, not divisible by 16 warps
     EXPECT_EXIT(s2.validate(), ::testing::ExitedWithCode(1),
                 "not divisible");
+
+    // Auto interval lengths below the compiler's 4-register floor:
+    // each flag is in range alone, but 8KB over 32 warps (and 16KB
+    // over 64) leaves a 2-register partition. A usage error, not an
+    // interval-formation assertion abort.
+    for (auto [kb, warps] : {std::pair{8, 32}, std::pair{16, 64}}) {
+        DesignSpace s3 = DesignSpace::defaults();
+        s3.cache_kbs = {kb};
+        s3.warps = {warps};
+        s3.intervals = {};
+        EXPECT_EXIT(s3.validate(), ::testing::ExitedWithCode(1),
+                    "registers per interval 2 out of range");
+    }
 }
 
 // ----- Pareto frontier -----

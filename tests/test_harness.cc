@@ -127,15 +127,12 @@ TEST(ExperimentRunner, SameResultsForOneAndEightJobs)
 {
     std::vector<SweepCell> cells = expandSweep(microSpec());
 
+    const SimConfig base = baselineConfigFor(microSpec());
     ExperimentRunner serial(1);
-    BaselineCache base1(baselineConfigFor(microSpec()),
-                        bench::BENCH_SEED);
-    ResultSet rs1 = serial.run(cells, &base1);
+    ResultSet rs1 = serial.run(cells, &base);
 
     ExperimentRunner parallel(8);
-    BaselineCache base8(baselineConfigFor(microSpec()),
-                        bench::BENCH_SEED);
-    ResultSet rs8 = parallel.run(cells, &base8);
+    ResultSet rs8 = parallel.run(cells, &base);
 
     ASSERT_EQ(rs1.size(), rs8.size());
     for (size_t i = 0; i < rs1.size(); i++) {
@@ -258,23 +255,38 @@ TEST(ExperimentRunner, PipelineBeatsBatchBarrierMakespan)
     EXPECT_LT(pipeline_ms.count(), barrier_ms.count());
 }
 
-TEST(BaselineCache, ConcurrentRequestsAgree)
+/**
+ * run() feeds the same streaming pool as submit(): its cells and the
+ * per-workload baselines are queued together, so with 2 jobs at
+ * least two tasks are in flight at once and the pool's high-water
+ * marks (which `ltrf_run --stats` reports) count them.
+ */
+TEST(ExperimentRunner, RunFeedsTheStreamingPool)
 {
-    BaselineCache cache(baselineConfigFor(microSpec()),
-                        bench::BENCH_SEED);
-    const Workload &w = WorkloadSuite::byName("bfs");
-    std::vector<double> got(8, 0.0);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; t++)
-        threads.emplace_back(
-                [&cache, &w, &got, t] { got[t] = cache.ipc(w); });
-    for (auto &t : threads)
-        t.join();
-    for (int t = 1; t < 8; t++)
-        EXPECT_EQ(got[0], got[t]);
-    EXPECT_GT(got[0], 0.0);
-    EXPECT_TRUE(cache.contains("bfs"));
-    EXPECT_FALSE(cache.contains("btree"));
+    const std::vector<SweepCell> cells = expandSweep(microSpec());
+    ASSERT_GE(cells.size(), 4u);
+    ExperimentRunner runner(2);
+    runner.run(cells);
+    EXPECT_GE(runner.inFlightHighWater(), 2u);
+    EXPECT_GE(runner.queueHighWater(), 1u);
+}
+
+TEST(BenchUtilDeathTest, JobsFlagRejectsOutOfRangeCounts)
+{
+    // Counts outside int range are usage errors: a narrowing parse
+    // would turn 2^32 + 1 into 1 and 2^31 into a negative count.
+    auto jobs = [](const char *value) {
+        const char *argv[] = {"harness", "--jobs", value};
+        return bench::jobsFromArgs(3, const_cast<char **>(argv));
+    };
+    EXPECT_EQ(jobs("3"), 3);
+    EXPECT_EQ(jobs("0"), 0);
+    EXPECT_EXIT(jobs("4294967297"), ::testing::ExitedWithCode(1),
+                "bad --jobs value");
+    EXPECT_EXIT(jobs("2147483648"), ::testing::ExitedWithCode(1),
+                "bad --jobs value");
+    EXPECT_EXIT(jobs("-1"), ::testing::ExitedWithCode(1),
+                "bad --jobs value");
 }
 
 // ----- JSON -----
@@ -324,8 +336,7 @@ TEST(ResultSet, JsonRoundTrip)
 {
     std::vector<SweepCell> cells = expandSweep(microSpec());
     ExperimentRunner runner(2);
-    BaselineCache base(baselineConfigFor(microSpec()),
-                       bench::BENCH_SEED);
+    const SimConfig base = baselineConfigFor(microSpec());
     ResultSet rs = runner.run(cells, &base);
 
     ResultSet back = ResultSet::fromJson(Json::parse(rs.dumpJson()));
@@ -356,8 +367,7 @@ TEST(ResultSet, CsvMirrorsJsonCells)
 {
     std::vector<SweepCell> cells = expandSweep(microSpec());
     ExperimentRunner runner(2);
-    BaselineCache base(baselineConfigFor(microSpec()),
-                       bench::BENCH_SEED);
+    const SimConfig base = baselineConfigFor(microSpec());
     ResultSet rs = runner.run(cells, &base);
 
     std::string csv = rs.toCsv();
@@ -470,30 +480,33 @@ TEST(ResultSet, SeedSurvivesJsonExactly)
 
 // ----- Baseline normalization -----
 
-TEST(BaselineCache, MatchesBenchUtilBaselineRule)
+TEST(ExperimentRunner, NormalizationMatchesBenchUtilBaselineRule)
 {
     // bench_util.hh documents the normalization baseline: the BL
     // design on the unmodified 256KB register file.
-    SimConfig base_cfg = bench::baselineConfig();
+    const SimConfig &base_cfg = bench::baselineConfig();
     EXPECT_EQ(base_cfg.design, RfDesign::BL);
     EXPECT_EQ(base_cfg.rf_bytes, 256u * 1024u);
     EXPECT_EQ(base_cfg.rf_capacity_mult, 1);
 
-    const Workload &w = WorkloadSuite::byName("bfs");
-    BaselineCache cache(base_cfg, bench::BENCH_SEED);
-    // Same simulation as bench_util's baselineIpc() (which now
-    // delegates to a process-wide BaselineCache).
-    EXPECT_DOUBLE_EQ(cache.ipc(w), bench::baselineIpc(w));
-    EXPECT_DOUBLE_EQ(cache.ipc(w),
-                     simulate(base_cfg, w.kernel, bench::BENCH_SEED).ipc);
+    // run() normalizes each row against exactly that simulation,
+    // under the cell's seed.
+    std::vector<SweepCell> cells = expandSweep(microSpec());
+    ExperimentRunner runner(2);
+    const ResultSet rs = runner.run(cells, &base_cfg);
+    for (const ResultRow &row : rs.rows()) {
+        const Workload &w = WorkloadSuite::byName(row.cell.workload);
+        EXPECT_DOUBLE_EQ(row.baseline_ipc,
+                         simulate(base_cfg, w.kernel,
+                                  bench::BENCH_SEED).ipc);
+    }
 }
 
 TEST(ResultSet, NormalizationAndGeomean)
 {
     std::vector<SweepCell> cells = expandSweep(microSpec());
     ExperimentRunner runner(2);
-    BaselineCache base(baselineConfigFor(microSpec()),
-                       bench::BENCH_SEED);
+    const SimConfig base = baselineConfigFor(microSpec());
     ResultSet rs = runner.run(cells, &base);
 
     // Each row's normalized IPC is its IPC over its workload's
@@ -501,9 +514,11 @@ TEST(ResultSet, NormalizationAndGeomean)
     for (const ResultRow &row : rs.rows()) {
         ASSERT_TRUE(row.normalized());
         const Workload &w = WorkloadSuite::byName(row.cell.workload);
-        EXPECT_DOUBLE_EQ(row.baseline_ipc, base.ipc(w));
+        const double base_ipc =
+                simulate(base, w.kernel, bench::BENCH_SEED).ipc;
+        EXPECT_DOUBLE_EQ(row.baseline_ipc, base_ipc);
         EXPECT_DOUBLE_EQ(row.normalizedIpc(),
-                         row.result.ipc / base.ipc(w));
+                         row.result.ipc / base_ipc);
     }
 
     // Geomean helper agrees with the bench_util definition.
