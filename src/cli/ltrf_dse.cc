@@ -106,10 +106,6 @@ Search:
   --hv-ref I,E,A     hypervolume reference point: minimum IPC,
                      maximum energy, maximum area
                      (default: 0,2,8)
-  --prune / --no-prune
-                     force the model-dominance pruning heuristic on
-                     or off (default: on for random/hill, off
-                     otherwise)
 
 Evaluation:
   --workloads LIST   all | sensitive | insensitive | name,name,...
@@ -135,7 +131,7 @@ Output:
 
 Observability (stderr / a separate file; --out is unaffected):
   --trace PATH       record harness pool activity (per-worker cell
-                     spans, baseline fills, batch commits, rung
+                     spans, baseline fills, point commits, rung
                      promotions; wall-clock) as Chrome trace-event
                      JSON to PATH
   --progress         rate-limited stderr heartbeat of cells landed
@@ -417,10 +413,6 @@ parseArgs(int argc, char **argv)
             std::string v = value(i);
             if (!parseUint64(v, opt.explore.seed))
                 usageError("bad seed \"" + v + "\"");
-        } else if (a == "--prune") {
-            opt.explore.prune = 1;
-        } else if (a == "--no-prune") {
-            opt.explore.prune = 0;
         } else if (a == "--workloads") {
             std::string v = value(i);
             // Selectors resolve like ltrf_run's; explicit names get
@@ -536,11 +528,10 @@ main(int argc, char **argv)
 
     if (!opt.quiet) {
         std::printf("%s search: %zu points evaluated (of %llu in "
-                    "space), %llu pruned, %llu sim reuses, %llu "
-                    "cells simulated, %.1fs\n",
+                    "space), %llu sim reuses, %llu cells "
+                    "simulated, %.1fs\n",
                     strategyName(res.strategy), res.evaluated.size(),
                     static_cast<unsigned long long>(res.space_size),
-                    static_cast<unsigned long long>(res.pruned),
                     static_cast<unsigned long long>(res.sim_reuse),
                     static_cast<unsigned long long>(res.sim_cells),
                     secs);

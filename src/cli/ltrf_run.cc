@@ -51,9 +51,12 @@ Sweep selection:
   --rf-config LIST   Table 2 configuration ids 1-7; 0 keeps the
                      baseline register file (default: 6)
   --latency-mult L   optional comma-separated main-RF latency
-                     multipliers swept on top of each rf-config
+                     multipliers swept on top of each rf-config;
+                     the resulting latency must stay within 1024
+                     cycles (512x the 2-cycle baseline)
   --sms N            SMs to simulate (default: 4)
-  --active-warps N   active-warp pool per SM (default: Table 3)
+  --active-warps N   active-warp pool per SM, >= 1 (default:
+                     Table 3)
   --seed S           workload seed (default: 2018)
 
 Execution:
@@ -161,7 +164,11 @@ parseArgs(int argc, char **argv)
         } else if (a == "--sms") {
             opt.spec.num_sms = intValue(i);
         } else if (a == "--active-warps") {
+            // SweepSpec reads 0 as "Table 3 default"; an explicit
+            // value below 1 is a mistake, not that default.
             opt.spec.num_active_warps = intValue(i);
+            if (opt.spec.num_active_warps < 1)
+                usageError("--active-warps must be >= 1");
         } else if (a == "--seed") {
             std::string v = value(i);
             if (!parseUint64(v, opt.spec.seed))
@@ -290,6 +297,10 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
     std::vector<SweepCell> cells = expandSweep(opt.spec);
+    // Reject bad configurations here, on the main thread, before any
+    // worker starts simulating.
+    for (const SweepCell &c : cells)
+        c.config.validate();
 
     if (opt.verify_only)
         return runVerifyOnly(opt, cells);

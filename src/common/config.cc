@@ -1,5 +1,7 @@
 #include "common/config.hh"
 
+#include <cmath>
+
 #include "common/log.hh"
 
 namespace ltrf
@@ -38,8 +40,15 @@ SimConfig::validate() const
         ltrf_fatal("regs_per_interval %d out of range", regs_per_interval);
     if (num_mrf_banks < 1)
         ltrf_fatal("num_mrf_banks must be >= 1");
-    if (mrf_latency_mult < 1.0)
-        ltrf_fatal("mrf_latency_mult %.2f must be >= 1.0", mrf_latency_mult);
+    if (!std::isfinite(mrf_latency_mult) || mrf_latency_mult < 1.0)
+        ltrf_fatal("mrf_latency_mult %g must be finite and >= 1.0",
+                   mrf_latency_mult);
+    // Checked on the product, before mrfLatency() rounds it: lround()
+    // of an out-of-range double is undefined.
+    if (base_mrf_latency * mrf_latency_mult > MAX_MRF_LATENCY)
+        ltrf_fatal("main RF latency %g cycles (%d x %g) exceeds the "
+                   "%d-cycle cap", base_mrf_latency * mrf_latency_mult,
+                   base_mrf_latency, mrf_latency_mult, MAX_MRF_LATENCY);
     if (issue_width < 1 || num_operand_collectors < issue_width)
         ltrf_fatal("need at least issue_width operand collectors");
     if (num_dram_banks < 1)

@@ -24,6 +24,15 @@ class TraceSink;
 }
 
 /**
+ * Largest effective main RF latency (cycles, after the multiplier)
+ * SimConfig::validate() accepts: 512x the baseline's 2 cycles. At the
+ * cap the slowest suite kernel (lavaMD on BL at one SM and one
+ * active warp) runs ~180M cycles, well inside Gpu::run()'s default
+ * cycle limit; the DSE's analytic model stays below 8x.
+ */
+constexpr int MAX_MRF_LATENCY = 1024;
+
+/**
  * The register file system designs evaluated in the paper.
  *
  * BL          - conventional non-cached register file (baseline).

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,11 @@ namespace ltrf::dse
 
 namespace
 {
+
+/** Uniquifies temp names against sibling threads — process-wide,
+ *  since two stores on one directory (concurrent shards in one
+ *  process) would otherwise mint the same names. */
+std::atomic<std::uint64_t> tmp_seq{0};
 
 using harness::Json;
 

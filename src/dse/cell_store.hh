@@ -40,7 +40,6 @@
 #ifndef LTRF_DSE_CELL_STORE_HH
 #define LTRF_DSE_CELL_STORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -120,9 +119,6 @@ class CellStore
     mutable std::mutex mu;    ///< guards the counters
     Counter hits_, misses_, stores_, errors_;
     StatGroup group{"cell_store"};
-
-    /** Uniquifies temp names against sibling threads. */
-    std::atomic<std::uint64_t> tmp_seq{0};
 };
 
 } // namespace ltrf::dse

@@ -32,24 +32,13 @@ namespace
 {
 
 /**
- * Candidates are admitted to the cell pipeline in fixed-size
- * batches: pruning decisions happen at admission boundaries and
- * frontier commits in admission order, so both depend on the
- * admission sequence alone — never on the job count or on which
- * cell finishes first. The batch size is a constant for the same
- * reason.
+ * Admitted-but-uncommitted points the pipeline tolerates before
+ * committing the oldest. Deep enough that the pool never starves,
+ * fixed so a 10^7-point walk never holds 10^7 tickets.
  */
-constexpr std::size_t POINT_BATCH = 16;
+constexpr std::size_t MAX_IN_FLIGHT_POINTS = 1024;
 
-/**
- * Admitted-but-uncommitted batches the pipeline tolerates before
- * committing the oldest. Deep enough that the pool never starves
- * (depth x POINT_BATCH cells in flight), fixed so a 10^7-point walk
- * holds 10^7 / POINT_BATCH tickets never.
- */
-constexpr std::size_t MAX_STREAM_DEPTH = 64;
-
-/** Trace lane of the admission thread's instants (batch commits,
+/** Trace lane of the admission thread's instants (point commits,
  *  rung promotions), well clear of the pool worker ids. */
 constexpr int EXPLORER_TID = 1000;
 
@@ -75,20 +64,6 @@ struct BaselineRow
     double main_rate = 0.0;
 };
 
-/** Analytic summary used by the model-dominance pruning heuristic. */
-struct PruneEntry
-{
-    /** All non-model axis values (cache, policy, warps, interval,
-     *  collectors, DRAM service), joined from the registry: only
-     *  entries with identical contexts are comparable. */
-    std::string context;
-    int capacity;
-    int banks_mult;
-    double latency;
-    double area;
-    double power;
-};
-
 /**
  * Evaluates design points across workload subsets on a cell-level
  * pipeline, memoizing each simulated (simKey, workload) cell: a
@@ -99,8 +74,8 @@ struct PruneEntry
  * cells and submit each one as an independent task on the harness
  * work-stealing pool — and collect() — block until a ticket's cells
  * have landed and fold them into objectives. Because admission and
- * collection are decoupled, the explorer can admit the next batch's
- * cells while a straggler from an earlier batch is still
+ * collection are decoupled, the explorer can admit the next point's
+ * cells while a straggler from an earlier point is still
  * simulating; because every cell simulation is a pure seeded
  * function of its configuration, the folded objectives are
  * bit-identical no matter which worker ran which cell when.
@@ -148,11 +123,11 @@ class Evaluator
     };
 
     /**
-     * A batch admitted to the pipeline: every missing cell has been
-     * submitted; collect() folds once they land. Cells claimed by
-     * earlier tickets that this batch also reads are listed too —
-     * collect() must wait for them even though it did not submit
-     * them.
+     * Points admitted to the pipeline together: every missing cell
+     * has been submitted; collect() folds once they land. Cells
+     * claimed by earlier tickets that these points also read are
+     * listed too — collect() must wait for them even though it did
+     * not submit them.
      */
     struct Ticket
     {
@@ -501,74 +476,6 @@ class Evaluator
     std::uint64_t next_beat_us = 0;        ///< guarded by mu
 };
 
-/**
- * True if an already-evaluated entry makes simulating @p c
- * pointless: same non-model axes, at least as much capacity and
- * banking, no more latency, and no more area or power — under the
- * model's monotonicity, such an entry is at least as good on every
- * objective. A heuristic (activity-dependent power can in principle
- * reorder), so exhaustive grids leave it off.
- */
-bool
-modelDominated(const std::vector<PruneEntry> &entries,
-               const PruneEntry &c)
-{
-    for (const PruneEntry &e : entries) {
-        if (e.context != c.context)
-            continue;
-        if (e.capacity < c.capacity || e.banks_mult < c.banks_mult ||
-            e.latency > c.latency || e.area > c.area ||
-            e.power > c.power)
-            continue;
-        if (e.capacity > c.capacity || e.banks_mult > c.banks_mult ||
-            e.latency < c.latency || e.area < c.area ||
-            e.power < c.power)
-            return true;
-    }
-    return false;
-}
-
-PruneEntry
-pruneEntryFor(const DesignPoint &p)
-{
-    const RfConfig rc = makeRfConfig(p.modelPoint());
-    PruneEntry e;
-    for (const AxisDesc &a : axisRegistry())
-        if (!a.model_axis)
-            e.context += a.token(a.get(p)) + "/";
-    e.capacity = p.banks_mult * p.bank_size_mult;
-    e.banks_mult = p.banks_mult;
-    e.latency = rc.latency;
-    e.area = rc.area;
-    e.power = rc.power;
-    return e;
-}
-
-/**
- * The network values the prune context compares across: the space's
- * explicit `--networks` list, falling back to the distinct values
- * the auto pairing derives over the banks axis when the list is
- * empty. Pruning itself needs no network equality (the network
- * reaches the simulation only through the latency multiplier, and
- * the cost objectives only through area/power — all three are in
- * the dominance scalars), but this list determines whether any
- * dominated variant can exist at all: see pruneCanFire().
- */
-std::vector<NetworkKind>
-pruneNetworks(const DesignSpace &space)
-{
-    if (!space.networks.empty())
-        return space.networks;
-    std::vector<NetworkKind> fallback;
-    for (int b : space.banks) {
-        const NetworkKind n = defaultNetwork(b);
-        if (std::find(fallback.begin(), fallback.end(), n) ==
-            fallback.end())
-            fallback.push_back(n);
-    }
-    return fallback;
-}
-
 // ----- NSGA-II machinery (EVOLVE selection, HALVING promotion) -----
 
 /**
@@ -767,25 +674,6 @@ parseStrategy(const std::string &name, Strategy &out)
     return false;
 }
 
-bool
-pruneCanFire(const DesignSpace &space)
-{
-    // Two networks competing at one bank count is the analytic
-    // model's only dominance source (see the header comment). The
-    // explicit axis crosses every listed value with every bank
-    // count; the auto fallback pairs exactly one per bank count, so
-    // only an explicit list with both values leaves anything to
-    // prune.
-    if (space.networks.empty())
-        return false;
-    std::vector<NetworkKind> distinct;
-    for (NetworkKind n : space.networks)
-        if (std::find(distinct.begin(), distinct.end(), n) ==
-            distinct.end())
-            distinct.push_back(n);
-    return distinct.size() >= 2;
-}
-
 namespace
 {
 
@@ -934,30 +822,6 @@ validateOptions(const DesignSpace &space, const ExploreOptions &opt)
     return shape;
 }
 
-/**
- * The heuristic is enabled but structurally inactive on spaces whose
- * (possibly fallback-derived) network axis pairs each bank count
- * with a single network — say so instead of silently pruning
- * nothing, so a default (auto-network) run that forces --prune knows
- * why its pruned counter stays zero.
- */
-void
-warnInactivePrune(const DesignSpace &space)
-{
-    std::string nets;
-    for (NetworkKind n : pruneNetworks(space))
-        nets += std::string(nets.empty() ? "" : ", ") +
-                networkToken(n);
-    ltrf_warn_once("model-dominance pruning is enabled but cannot "
-                   "fire: the %s network axis pairs each bank count "
-                   "with a single network ({%s}), so the space holds "
-                   "no model-dominated variants; pass --networks "
-                   "xbar,fbfly to prune across the network axis",
-                   space.networks.empty() ? "auto (fallback)"
-                                          : "explicit",
-                   nets.c_str());
-}
-
 /** The report's echo of the run's inputs. */
 DseResult
 reportHeader(const DesignSpace &space, const ExploreOptions &opt,
@@ -969,10 +833,6 @@ reportHeader(const DesignSpace &space, const ExploreOptions &opt,
     res.seed = opt.seed;
     res.workloads = shape.names;
     res.num_sms = opt.num_sms;
-    res.prune = opt.prune < 0
-                        ? (opt.strategy == Strategy::RANDOM ||
-                           opt.strategy == Strategy::HILL_CLIMB)
-                        : opt.prune > 0;
     res.space_size = space.size();
     if (opt.strategy == Strategy::EVOLVE ||
         opt.strategy == Strategy::HALVING) {
@@ -998,15 +858,14 @@ reportHeader(const DesignSpace &space, const ExploreOptions &opt,
  * set and stripe sampler, the budget counter — and the one admission
  * path into the frontier pipeline.
  *
- * Strategies hand candidates to admit(), which cuts them into
- * POINT_BATCH slices. Each slice is pruned against every earlier
- * admission (never against itself) and its missing cells are
- * submitted to the pool. Commits — cells awaited, objectives folded,
- * the frontier updated — happen strictly in admission order,
- * whenever more than MAX_STREAM_DEPTH batches wait and at sync(), so
- * the committed state sequence depends on the admission sequence
- * alone. mark() closes a generation: its progress record is taken
- * when the commit cursor reaches the generation's last batch.
+ * Strategies hand candidates to admit(), which submits the point's
+ * missing cells to the pool as one ticket. Commits — cells awaited,
+ * objectives folded, the frontier updated — happen strictly in
+ * admission order, whenever more than MAX_IN_FLIGHT_POINTS points
+ * wait and at sync(), so the committed state sequence depends on the
+ * admission sequence alone. mark() closes a generation: its progress
+ * record is taken when the commit cursor reaches the generation's
+ * last point.
  */
 class Search
 {
@@ -1044,7 +903,6 @@ class Search
             pr.model = makeRfConfig(sp.point.modelPoint());
             pr.obj = sp.obj;
             pr.resumed = true;
-            prune_entries.push_back(pruneEntryFor(sp.point));
             resumed.push_back(add(std::move(pr)));
         }
         res.resumed = resumed.size();
@@ -1059,8 +917,8 @@ class Search
     std::uint64_t stripe_size = 0;
     std::vector<int> resumed;    ///< res.evaluated indices
     int gen = -1;                ///< stamped into PointResult::gen
-    /** Distinct candidates offered (evaluated, pruned, or screened);
-     *  the budget caps it. */
+    /** Distinct candidates offered (evaluated or screened); the
+     *  budget caps it. */
     std::uint64_t considered = 0;
 
     std::uint64_t
@@ -1120,17 +978,16 @@ class Search
     void
     admit(const DesignPoint &p)
     {
-        pending.push_back(p);
-        if (pending.size() == POINT_BATCH)
-            cut();
+        pipeline.push_back({ev.begin({p}, all_sel), gen});
+        while (pipeline.size() > MAX_IN_FLIGHT_POINTS)
+            commitOldest();
     }
 
     /** Close generation @p progress_gen (see the class comment). */
     void
     mark(int progress_gen)
     {
-        cut();
-        due.push_back({batches_admitted, progress_gen});
+        due.push_back({committed + pipeline.size(), progress_gen});
         takeProgress();
     }
 
@@ -1138,7 +995,6 @@ class Search
     void
     sync()
     {
-        cut();
         while (!pipeline.empty())
             commitOldest();
     }
@@ -1171,16 +1027,16 @@ class Search
     }
 
   private:
-    /** An admitted batch, or a progress record due once `batches`
-     *  batches have committed. */
-    struct Batch
+    /** An admitted point, or a progress record due once `points`
+     *  points have committed. */
+    struct Admitted
     {
         Evaluator::Ticket ticket;
         int gen;
     };
     struct Due
     {
-        std::uint64_t batches;
+        std::uint64_t points;
         int gen;
     };
 
@@ -1202,56 +1058,28 @@ class Search
         return idx;
     }
 
-    /** Push the pending slice, pruned against every earlier
-     *  admission, then bound the pipeline depth. */
-    void
-    cut()
-    {
-        std::vector<DesignPoint> kept;
-        for (const DesignPoint &p : pending) {
-            if (res.prune &&
-                modelDominated(prune_entries, pruneEntryFor(p)))
-                res.pruned++;
-            else
-                kept.push_back(p);
-        }
-        pending.clear();
-        for (const DesignPoint &p : kept)
-            prune_entries.push_back(pruneEntryFor(p));
-        if (!kept.empty()) {
-            pipeline.push_back({ev.begin(std::move(kept), all_sel), gen});
-            batches_admitted++;
-        }
-        while (pipeline.size() > MAX_STREAM_DEPTH)
-            commitOldest();
-    }
-
     void
     commitOldest()
     {
-        Batch b = std::move(pipeline.front());
+        Admitted a = std::move(pipeline.front());
         pipeline.pop_front();
-        batches_committed++;
-        std::vector<PointResult> folded = ev.collect(b.ticket);
-        for (PointResult &pr : folded) {
-            pr.gen = b.gen;
-            add(std::move(pr));
-        }
+        committed++;
+        PointResult pr = std::move(ev.collect(a.ticket).front());
+        pr.gen = a.gen;
         if (opt.trace)
-            opt.trace->instant(("commit batch " +
-                                std::to_string(batches_committed) +
-                                " (+" + std::to_string(folded.size()) +
-                                " points)")
+            opt.trace->instant(("commit " + std::to_string(committed) +
+                                ": " + pr.point.key())
                                        .c_str(),
                                Evaluator::POOL_PID, EXPLORER_TID,
                                opt.trace->wallUs());
+        add(std::move(pr));
         takeProgress();
     }
 
     void
     takeProgress()
     {
-        while (!due.empty() && due.front().batches <= batches_committed) {
+        while (!due.empty() && due.front().points <= committed) {
             DseResult::GenStat s;
             s.gen = due.front().gen;
             s.evaluated = res.evaluated.size();
@@ -1264,15 +1092,12 @@ class Search
     }
 
     std::vector<std::size_t> all_sel;
-    std::vector<PruneEntry> prune_entries;
     /** Keys ever offered or resumed: no point is offered twice. */
     std::set<std::string> seen;
     std::uint64_t in_stripe_seen = 0;
-    std::vector<DesignPoint> pending;
-    std::deque<Batch> pipeline;
+    std::deque<Admitted> pipeline;
     std::deque<Due> due;
-    std::uint64_t batches_admitted = 0;
-    std::uint64_t batches_committed = 0;
+    std::uint64_t committed = 0;
 };
 
 /**
@@ -1568,8 +1393,6 @@ explore(const DesignSpace &space, const ExploreOptions &opt)
 {
     const RunShape shape = validateOptions(space, opt);
     DseResult res = reportHeader(space, opt, shape);
-    if (res.prune && !pruneCanFire(space))
-        warnInactivePrune(space);
 
     Search s(space, opt, shape, res);
     switch (opt.strategy) {
@@ -1587,13 +1410,12 @@ Json
 DseResult::toJson() const
 {
     Json root = Json::object();
-    root.set("schema", "ltrf.dse.v4");
+    root.set("schema", "ltrf.dse.v5");
     root.set("strategy", strategyName(strategy));
     root.set("budget", budget);
     // As a string, like ResultSet seeds: doubles round above 2^53.
     root.set("seed", std::to_string(seed));
     root.set("num_sms", num_sms);
-    root.set("prune", prune);
     root.set("space_size", space_size);
     root.set("shard_index", shard_index);
     root.set("shard_count", shard_count);
@@ -1635,7 +1457,6 @@ DseResult::toJson() const
 
     Json counters = Json::object();
     counters.set("evaluated", std::uint64_t{evaluated.size()});
-    counters.set("pruned", pruned);
     counters.set("sim_reuse", sim_reuse);
     counters.set("sim_cells", sim_cells);
     counters.set("screened", screened);

@@ -28,17 +28,8 @@
  *                re-simulating them.
  *
  * Cost controls: points whose simulated configuration is identical
- * (simKey) are simulated once and share results; RANDOM and
- * HILL_CLIMB additionally prune candidates whose analytic scalars
- * are dominated by an already-evaluated point with the same
- * cache/policy/warp axes (a monotonicity heuristic — disabled by
- * default for GRID so exhaustive walks really are exhaustive, and
- * for the generational strategies so population sizes mean what
- * they say). The heuristic's comparison set spans the network axis
- * (explicit `--networks` values, or the auto pairing's derived
- * values as the fallback); when the space pairs each bank count
- * with a single network the heuristic cannot fire, and enabling it
- * warns instead of silently pruning nothing (see pruneCanFire()).
+ * (simKey) are simulated once and share results, and every
+ * candidate a strategy claims within the budget is evaluated.
  *
  * Analytics and persistence: the report carries the frontier's
  * hypervolume (per generation for the generational strategies) and
@@ -47,12 +38,11 @@
  * initial population.
  *
  * Determinism model: every strategy is a generator that hands
- * candidates to one admission path. Admission cuts them into
- * fixed-size batches, prunes each batch against everything admitted
- * before it, and submits the batch's missing (simKey, workload)
- * cells to a work-stealing pool; commits (cells awaited, objectives
- * folded, frontier updated) happen strictly in admission order. The
- * admission sequence depends only on (seed, options) — every
+ * candidates to one admission path: claim the point, submit its
+ * missing (simKey, workload) cells to a work-stealing pool as one
+ * ticket, and commit tickets (cells awaited, objectives folded,
+ * frontier updated) strictly in admission order. The admission
+ * sequence depends only on (seed, options) — every
  * decision reads seeded RNG streams, analytic scalars, or results
  * that were themselves committed deterministically — so the
  * committed result, and its serialized form, is byte-identical for
@@ -60,12 +50,12 @@
  * admitted after it (the next halving pool's screens run while a
  * previous rung's promotions finish).
  *
- * The pipeline commits its oldest batch whenever more than a fixed
- * number of batches wait, for every strategy, so peak memory is
- * bounded by that depth rather than by the candidate count (GRID
+ * The pipeline commits its oldest point whenever more than a fixed
+ * number of points (1024) wait, for every strategy, so peak memory
+ * is bounded by that cap rather than by the candidate count (GRID
  * and RANDOM stream from a PointCursor and the sampling RNG without
  * materializing their candidate lists). A generation's progress
- * record is taken when the commit cursor reaches its last batch, so
+ * record is taken when the commit cursor reaches its last point, so
  * it does not depend on when commits actually ran. With
  * ExploreOptions::cache_dir set, each admitted cell is additionally
  * served from / persisted to an on-disk content-addressed store,
@@ -136,10 +126,6 @@ struct ExploreOptions
      *  depend on it. */
     int jobs = 0;
 
-    /** -1 = per-strategy default (RANDOM/HILL on, others off);
-     *  0/1 force. */
-    int prune = -1;
-
     /**
      * Space partitioning for sharded exploration: restrict grid
      * enumeration and every sampling draw (random, hill restarts,
@@ -201,7 +187,7 @@ struct ExploreOptions
     /**
      * Wall-clock Chrome-trace sink for harness pool activity: one
      * lane per pool worker with a span for every simulated cell
-     * (screens, promotions, baseline fills), instants for batch
+     * (screens, promotions, baseline fills), instants for point
      * commits and rung promotions, and an in-flight-cells counter
      * track. Null = off.
      */
@@ -261,7 +247,6 @@ struct DseResult
     std::uint64_t seed = 0;
     std::vector<std::string> workloads;
     int num_sms = 0;
-    bool prune = false;
     std::uint64_t space_size = 0;
     int generations = 0;
     int population = 0;
@@ -294,7 +279,6 @@ struct DseResult
     double hv = 0.0;
 
     // Cost counters.
-    std::uint64_t pruned = 0;       ///< candidates skipped by dominance
     std::uint64_t sim_reuse = 0;    ///< cells served from the sim cache
     std::uint64_t sim_cells = 0;    ///< (config, workload) cells simulated
     std::uint64_t screened = 0;     ///< points screened below full fidelity
@@ -325,7 +309,7 @@ struct DseResult
      *  full-fidelity survivors have nowhere further to go). */
     std::vector<std::uint64_t> rung_promoted;
 
-    /** Deterministic report (schema ltrf.dse.v4: per-point axis
+    /** Deterministic report (schema ltrf.dse.v5: per-point axis
      *  maps keyed by the axis registry, shard echo, per-rung
      *  screened/promoted counters for HALVING). */
     harness::Json toJson() const;
@@ -343,21 +327,6 @@ struct DseResult
  * on a different workload suite.
  */
 DseResult explore(const DesignSpace &space, const ExploreOptions &opt);
-
-/**
- * True when the model-dominance pruning heuristic can fire on
- * @p space at all. The analytic RF model is strictly monotone
- * within a technology (more capacity always costs more area and
- * power) and the four technologies form a latency/power Pareto
- * front by construction, so the heuristic's only dominance source
- * is two networks competing at one bank count — present exactly
- * when the network axis is an explicit list with both values. The
- * auto pairing (the fallback the prune context derives network
- * values from when `--networks` is not given) assigns each bank
- * count its dominant network, leaving nothing to prune; explore()
- * warns instead of silently pruning nothing in that case.
- */
-bool pruneCanFire(const DesignSpace &space);
 
 } // namespace ltrf::dse
 

@@ -71,9 +71,10 @@ parseDseReport(const Json &root)
 {
     const std::string schema = root.stringOr("schema", "(missing)");
     if (schema != "ltrf.dse.v1" && schema != "ltrf.dse.v2" &&
-        schema != "ltrf.dse.v3" && schema != "ltrf.dse.v4")
+        schema != "ltrf.dse.v3" && schema != "ltrf.dse.v4" &&
+        schema != "ltrf.dse.v5")
         ltrf_fatal("not an ltrf_dse report: schema \"%s\" (expected "
-                   "ltrf.dse.v1 through v4)",
+                   "ltrf.dse.v1 through v5)",
                    schema.c_str());
 
     FrontierSeed seed;

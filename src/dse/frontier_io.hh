@@ -59,8 +59,9 @@ struct FrontierSeed
  * schema or malformed point entries; accepts schema ltrf.dse.v1
  * (pre-resume reports), v2 (seven-axis keys; the widened-space
  * axes take their auto/default values), v3 (pre-rung reports —
- * the per-rung counters a resume ignores are simply absent), and
- * v4.
+ * the per-rung counters a resume ignores are simply absent), v4,
+ * and v5 (v4 minus the model-dominance heuristic's echo keys,
+ * which a resume never read).
  */
 FrontierSeed parseDseReport(const harness::Json &root);
 

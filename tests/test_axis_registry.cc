@@ -352,7 +352,6 @@ TEST(Sharding, SamplingStaysInsideTheStripe)
     ExploreOptions opt = microOptions();
     opt.strategy = Strategy::RANDOM;
     opt.budget = 6;    // > stripe size: exhausts the stripe
-    opt.prune = 0;
     opt.shard_index = 0;
     opt.shard_count = 2;
     const DseResult res = explore(s, opt);

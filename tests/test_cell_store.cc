@@ -343,6 +343,35 @@ TEST_F(CellStoreTest, SecondExplorationSimulatesNothing)
     EXPECT_TRUE(saw_hits);
 }
 
+TEST_F(CellStoreTest, ExplorerCellsAreAddressedBySmsAndSeedContext)
+{
+    // Readers outside the explorer (the perfbench harness) rebuild
+    // the store context as the literal "sms=N|seed=S" text and must
+    // find every cell a cold exploration wrote: each point's
+    // (simKey, workload) cell and each workload's BL baseline.
+    ExploreOptions opt = microOptions();
+    opt.strategy = Strategy::GRID;
+    opt.cache_dir = dir;
+    const DseResult cold = explore(microSpace(), opt);
+    ASSERT_EQ(cold.store_stores, cold.sim_cells);
+
+    CellStore store(dir, "sms=1|seed=2018");
+    std::vector<SimConfig> cfgs;
+    SimConfig baseline;
+    baseline.num_sms = opt.num_sms;
+    baseline.design = RfDesign::BL;
+    cfgs.push_back(baseline);
+    for (const DesignPoint &p : microSpace().enumerate())
+        cfgs.push_back(configFor(p, opt.num_sms));
+    for (const SimConfig &cfg : cfgs)
+        for (const std::string &w : opt.workloads) {
+            SimResult r;
+            EXPECT_TRUE(store.load(simKey(cfg), w, r))
+                    << simKey(cfg) << " / " << w;
+        }
+    EXPECT_EQ(store.counts().hits, cfgs.size() * opt.workloads.size());
+}
+
 TEST_F(CellStoreTest, ConcurrentShardsShareACacheDirectory)
 {
     // Two GRID shards of one space explore concurrently into one

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/config.hh"
 
 using namespace ltrf;
@@ -44,6 +46,32 @@ TEST(SimConfig, LatencyMultiplierRounds)
     cfg.mrf_latency_mult = 1.0;
     cfg.base_mrf_latency = 1;
     EXPECT_GE(cfg.mrfLatency(), 1);
+}
+
+TEST(SimConfigDeathTest, ValidateRejectsNonFiniteLatencyMultipliers)
+{
+    SimConfig cfg;
+    cfg.mrf_latency_mult = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "must be finite");
+    cfg.mrf_latency_mult = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "must be finite");
+    // Finite but far beyond lround()'s range.
+    cfg.mrf_latency_mult = 1e300;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "exceeds the 1024-cycle cap");
+}
+
+TEST(SimConfigDeathTest, ValidateCapsTheEffectiveLatency)
+{
+    SimConfig cfg;
+    cfg.mrf_latency_mult = MAX_MRF_LATENCY / cfg.base_mrf_latency;
+    cfg.validate();    // exactly at the cap
+    EXPECT_EQ(cfg.mrfLatency(), MAX_MRF_LATENCY);
+    cfg.mrf_latency_mult = 1e6;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "exceeds the 1024-cycle cap");
 }
 
 TEST(SimConfig, DesignPredicates)

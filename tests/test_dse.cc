@@ -279,103 +279,36 @@ TEST(Explorer, GridRestrictedToTable2AxesReproducesPublishedRows)
     EXPECT_EQ(ids, (std::set<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(Explorer, HillClimbPrunesModelDominatedNeighbors)
+TEST(Explorer, RandomBudgetIsEvaluatedInFullOverBothNetworks)
 {
-    // One bank organization under both networks: the crossbar point
-    // is identical except for a higher modeled latency, so once the
-    // butterfly point is evaluated the crossbar neighbor is pruned.
-    DesignSpace s = microSpace();
-    s.techs = {CellTech::HP_SRAM};
-    s.banks = {8};
-    s.networks = {NetworkKind::FLAT_BUTTERFLY, NetworkKind::CROSSBAR};
-
-    ExploreOptions opt = microOptions();
-    opt.strategy = Strategy::HILL_CLIMB;
-    opt.budget = 2;
-
-    DseResult res = explore(s, opt);
-    EXPECT_TRUE(res.prune);
-    EXPECT_EQ(res.evaluated.size(), 1u);
-    EXPECT_EQ(res.pruned, 1u);
-    EXPECT_EQ(res.evaluated[0].point.network,
-              NetworkKind::FLAT_BUTTERFLY);
-}
-
-TEST(Explorer, PruneCanFireOnlyWithAnExplicitNetworkPair)
-{
-    // The heuristic's only dominance source is two networks
-    // competing at one bank count. The auto pairing (the fallback
-    // the prune context derives network values from) assigns each
-    // bank count a single network, so nothing is ever dominated.
-    DesignSpace auto_nets = microSpace();
-    auto_nets.networks = {};
-    EXPECT_FALSE(pruneCanFire(auto_nets));
-
-    DesignSpace one_net = microSpace();
-    one_net.networks = {NetworkKind::FLAT_BUTTERFLY};
-    EXPECT_FALSE(pruneCanFire(one_net));
-
-    DesignSpace both = microSpace();
-    both.networks = {NetworkKind::CROSSBAR,
-                     NetworkKind::FLAT_BUTTERFLY};
-    EXPECT_TRUE(pruneCanFire(both));
-}
-
-TEST(Explorer, AutoNetworkPruningIsInactiveButHarmless)
-{
-    // Forcing --prune on an auto-network space warns (pruning is
-    // structurally inactive) but must not change any result: the
-    // same points evaluate to the same report as with pruning off.
-    ExploreOptions opt = microOptions();
-    opt.strategy = Strategy::RANDOM;
-    opt.budget = 4;
-
-    opt.prune = 1;
-    const DseResult on = explore(microSpace(), opt);
-    opt.prune = 0;
-    const DseResult off = explore(microSpace(), opt);
-
-    EXPECT_TRUE(on.prune);
-    EXPECT_EQ(on.pruned, 0u);
-    ASSERT_EQ(on.evaluated.size(), off.evaluated.size());
-    for (std::size_t i = 0; i < on.evaluated.size(); i++)
-        EXPECT_EQ(on.evaluated[i].point, off.evaluated[i].point);
-    EXPECT_EQ(on.frontier, off.frontier);
-}
-
-TEST(Explorer, ExplicitNetworkPairPrunesDominatedVariants)
-{
-    // Regression for the heuristic actually firing: with both
-    // networks enumerated, every bank organization appears twice
-    // and the dominated variant (higher latency, area, and power at
-    // the same capacity/banks) is pruned once its twin has been
-    // admitted in an earlier batch. The space must span more than
-    // one 16-point admission batch — points are never pruned
-    // against their own batch.
+    // With both networks enumerated every bank organization appears
+    // twice, once per network. Every claimed point is evaluated, so
+    // a budget covering the whole doubled space evaluates all of it,
+    // identically at any job count.
     DesignSpace s = microSpace();
     s.techs = {CellTech::HP_SRAM, CellTech::TFET_SRAM,
                CellTech::DWM};
     s.banks = {1, 2, 4, 8};
     s.networks = {NetworkKind::FLAT_BUTTERFLY,
                   NetworkKind::CROSSBAR};
-    ASSERT_TRUE(pruneCanFire(s));
+    ASSERT_EQ(s.size(), 24u);
 
     ExploreOptions opt = microOptions();
     opt.strategy = Strategy::RANDOM;
-    opt.budget = 24;    // the whole doubled space
-    opt.prune = 1;
-    const DseResult res = explore(s, opt);
-    EXPECT_GT(res.pruned, 0u);
-    EXPECT_EQ(res.evaluated.size() + res.pruned, 24u);
+    opt.budget = 24;
+    opt.jobs = 1;
+    const DseResult serial = explore(s, opt);
+    opt.jobs = 4;
+    const DseResult parallel = explore(s, opt);
+    EXPECT_EQ(serial.evaluated.size(), 24u);
+    EXPECT_EQ(serial.toJson().dump(), parallel.toJson().dump());
 }
 
-TEST(Explorer, GridDefaultsToNoPruning)
+TEST(Explorer, GridWalksTheWholeSpace)
 {
     ExploreOptions opt = microOptions();
     opt.strategy = Strategy::GRID;
     DseResult res = explore(microSpace(), opt);
-    EXPECT_FALSE(res.prune);
-    EXPECT_EQ(res.pruned, 0u);
     EXPECT_EQ(res.evaluated.size(), 4u);
     // Frontier membership flags agree with the frontier list.
     std::size_t flagged = 0;

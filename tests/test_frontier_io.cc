@@ -183,7 +183,6 @@ TEST(FrontierIo, OutOfSpaceResumedPointsDoNotExhaustSampling)
     ExploreOptions resume_opt = microOptions();
     resume_opt.strategy = Strategy::RANDOM;
     resume_opt.budget = 4;
-    resume_opt.prune = 0;    // count evaluations, not prunes
     resume_opt.resume = parseDseReport(saved.toJson());
     const DseResult res = explore(narrow, resume_opt);
 
@@ -280,8 +279,39 @@ TEST(FrontierIo, LegacyV3ReportsResumeWithoutRungCounters)
     EXPECT_EQ(replay.sim_cells, 0u);
     EXPECT_EQ(replay.resumed, 1u);
     // The re-serialized report carries the current schema.
-    EXPECT_NE(replay.toJson().dump().find("ltrf.dse.v4"),
+    EXPECT_NE(replay.toJson().dump().find("ltrf.dse.v5"),
               std::string::npos);
+}
+
+TEST(FrontierIo, V4ReportsStillResume)
+{
+    // A v4 report still carries the model-dominance heuristic's two
+    // echo keys that v5 dropped; resume never read them, so the
+    // points replay untouched.
+    const harness::Json root = harness::Json::parse(
+            "{\"schema\": \"ltrf.dse.v4\", "
+            "\"strategy\": \"random\", \"prune\": true, "
+            "\"workloads\": [\"bfs\", \"btree\"], "
+            "\"num_sms\": 1, \"seed\": \"2018\", "
+            "\"counters\": {\"evaluated\": 1, \"pruned\": 3}, "
+            "\"points\": ["
+            "{\"key\": \"hp/b1/z1/xbar/c16/interval/w8/i16/o8/d1\", "
+            "\"ipc\": 1.0, \"energy\": 0.8, \"total_area\": 1.0, "
+            "\"frontier\": true}], "
+            "\"frontier\": [\"a\"]}");
+    const FrontierSeed seed = parseDseReport(root);
+    ASSERT_EQ(seed.points.size(), 1u);
+    EXPECT_EQ(seed.points[0].point.key(),
+              "hp/b1/z1/xbar/c16/interval/w8/i16/o8/d1");
+
+    ExploreOptions opt = microOptions();
+    opt.strategy = Strategy::EVOLVE;
+    opt.generations = 0;
+    opt.resume = seed;
+    const DseResult replay = explore(microSpace(), opt);
+    EXPECT_EQ(replay.sim_cells, 0u);
+    EXPECT_EQ(replay.resumed, 1u);
+    EXPECT_EQ(replay.evaluated[0].obj.ipc, 1.0);
 }
 
 TEST(FrontierIoDeathTest, RejectsUnknownSchema)
