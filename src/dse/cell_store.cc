@@ -1,12 +1,16 @@
 #include "dse/cell_store.hh"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/log.hh"
@@ -37,7 +41,7 @@ constexpr int CELL_SCHEMA = 1;
 
 /** 64-bit FNV-1a over @p s, continuing from @p h. */
 std::uint64_t
-fnv1a(const std::string &s, std::uint64_t h)
+fnv1a(std::string_view s, std::uint64_t h)
 {
     for (const char c : s) {
         h ^= static_cast<unsigned char>(c);
@@ -46,52 +50,120 @@ fnv1a(const std::string &s, std::uint64_t h)
     return h;
 }
 
+void
+appendHex64(std::string &out, std::uint64_t v)
+{
+    static constexpr char DIGITS[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; i--, v >>= 4)
+        buf[i] = DIGITS[v & 0xf];
+    out.append(buf, sizeof(buf));
+}
+
 std::string
 hex64(std::uint64_t v)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    std::string s;
+    appendHex64(s, v);
+    return s;
+}
+
+/** Entry files are ~700 bytes; one read of this size takes them whole. */
+constexpr std::size_t READ_CHUNK = 4096;
+
+enum class ReadStatus
+{
+    OK,
+    ABSENT,    ///< no file at the path: a plain miss
+    FAILED,    ///< present but unreadable: an error
+};
+
+/**
+ * Read the whole file at @p path. A read that returns less than it
+ * asked for has reached the end of a regular file, so an entry that
+ * fits @p buf costs open, one read and close; a larger one goes on
+ * in @p big. @p text views whichever holds the bytes.
+ */
+ReadStatus
+readEntry(const std::string &path, char (&buf)[READ_CHUNK],
+          std::string &big, std::string_view &text)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return errno == ENOENT ? ReadStatus::ABSENT : ReadStatus::FAILED;
+    char *dst = buf;
+    std::size_t len = 0, cap = READ_CHUNK;
+    ssize_t got;
+    while (true) {
+        got = ::read(fd, dst + len, cap - len);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            break;
+        len += static_cast<std::size_t>(got);
+        if (len < cap)
+            break;
+        if (dst == buf)
+            big.assign(buf, len);
+        cap *= 2;
+        big.resize(cap);
+        dst = big.data();
+    }
+    ::close(fd);
+    if (got < 0)
+        return ReadStatus::FAILED;
+    text = std::string_view(dst, len);
+    return ReadStatus::OK;
+}
+
+/** Object key @p k of @p j if it is a string, else nullptr. */
+const std::string *
+getStr(const Json &j, std::string_view k)
+{
+    const Json *x = j.find(k);
+    return x && x->type() == Json::Type::STRING ? &x->asString()
+                                                : nullptr;
 }
 
 /**
- * Extract object key @p k as a finite-typed number into @p v;
- * false if absent or not a number. The tolerant complement of
- * Json::at(), which is fatal on both failure modes.
+ * Object key @p k of @p j as a finite, non-negative number into @p v
+ * (IPC, hit and activity rates); false if it is absent or is not one.
  */
 bool
-getNum(const Json &j, const char *k, double &v)
+getRate(const Json &j, std::string_view k, double &v)
 {
-    if (j.type() != Json::Type::OBJECT || !j.contains(k))
+    const Json *x = j.find(k);
+    if (!x || x->type() != Json::Type::NUMBER)
         return false;
-    const Json &x = j.at(k);
-    if (x.type() != Json::Type::NUMBER)
+    const double d = x->asDouble();
+    if (!std::isfinite(d) || d < 0.0)
         return false;
-    v = x.asDouble();
+    v = d;
     return true;
 }
 
+/** getRate() narrowed to an integral counter of at most 2^53, the
+ *  range a double holds exactly. */
 bool
-getStr(const Json &j, const char *k, std::string &v)
-{
-    if (j.type() != Json::Type::OBJECT || !j.contains(k))
-        return false;
-    const Json &x = j.at(k);
-    if (x.type() != Json::Type::STRING)
-        return false;
-    v = x.asString();
-    return true;
-}
-
-/** getNum() narrowed to a uint64 counter field. */
-bool
-getU64(const Json &j, const char *k, std::uint64_t &v)
+getU64(const Json &j, std::string_view k, std::uint64_t &v)
 {
     double d = 0.0;
-    if (!getNum(j, k, d) || d < 0.0)
+    if (!getRate(j, k, d) || d != std::floor(d) ||
+        d > 9007199254740992.0)
         return false;
     v = static_cast<std::uint64_t>(d);
+    return true;
+}
+
+/** getU64() narrowed to a warp count: at least 1, fits an int. */
+bool
+getWarps(const Json &j, std::string_view k, int &v)
+{
+    std::uint64_t n = 0;
+    if (!getU64(j, k, n) || n < 1 ||
+        n > static_cast<std::uint64_t>(INT_MAX))
+        return false;
+    v = static_cast<int>(n);
     return true;
 }
 
@@ -133,12 +205,21 @@ CellStore::entryPath(const std::string &sim_key,
     // Two FNV-1a streams over the same material with different seeds
     // give a 128-bit address; collisions are additionally caught by
     // the stored-key verification in load().
-    const std::string material =
-            version + "\x1f" + context + "\x1f" + sim_key + "\x1f" +
-            workload;
-    const std::uint64_t lo = fnv1a(material, 0xcbf29ce484222325ull);
-    const std::uint64_t hi = fnv1a(material, 0x9ae16a3b2f90404full);
-    return root + "/" + hex64(hi) + hex64(lo) + ".json";
+    const auto hash = [&](std::uint64_t h) {
+        for (const std::string *part : {&version, &context, &sim_key}) {
+            h = fnv1a(*part, h);
+            h = fnv1a("\x1f", h);
+        }
+        return fnv1a(workload, h);
+    };
+    std::string path;
+    path.reserve(root.size() + 1 + 32 + 5);
+    path += root;
+    path += '/';
+    appendHex64(path, hash(0x9ae16a3b2f90404full));
+    appendHex64(path, hash(0xcbf29ce484222325ull));
+    path += ".json";
+    return path;
 }
 
 bool
@@ -146,17 +227,6 @@ CellStore::load(const std::string &sim_key,
                 const std::string &workload, SimResult &out)
 {
     const std::string path = entryPath(sim_key, workload);
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        // The common cold-cache case: nothing on disk yet.
-        std::lock_guard<std::mutex> lk(mu);
-        misses_++;
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
 
     const auto reject = [&](const char *why) {
         ltrf_warn_once("cell store: ignoring bad entry %s (%s); "
@@ -168,56 +238,76 @@ CellStore::load(const std::string &sim_key,
         return false;
     };
 
+    char buf[READ_CHUNK];
+    std::string big;
+    std::string_view text;
+    switch (readEntry(path, buf, big, text)) {
+      case ReadStatus::ABSENT: {
+        // The common cold-cache case: nothing on disk yet.
+        std::lock_guard<std::mutex> lk(mu);
+        misses_++;
+        return false;
+      }
+      case ReadStatus::FAILED:
+        return reject("unreadable");
+      case ReadStatus::OK:
+        break;
+    }
+
     Json j;
     if (!Json::tryParse(text, j))
         return reject("unparseable");
-    if (j.type() != Json::Type::OBJECT ||
-        j.numberOr("ltrf_cell_schema", 0) != CELL_SCHEMA) {
+    const Json *schema = j.find("ltrf_cell_schema");
+    if (!schema || schema->type() != Json::Type::NUMBER ||
+        schema->asDouble() != CELL_SCHEMA) {
         return reject("unrecognized schema");
     }
 
     // Verify the stored key material: a 128-bit hash collision or a
     // hand-copied foreign entry must not smuggle in a wrong result.
-    std::string v, c, k, w;
-    if (!getStr(j, "sim_version", v) || !getStr(j, "context", c) ||
-        !getStr(j, "sim_key", k) || !getStr(j, "workload", w)) {
+    const std::string *v = getStr(j, "sim_version");
+    const std::string *c = getStr(j, "context");
+    const std::string *k = getStr(j, "sim_key");
+    const std::string *w = getStr(j, "workload");
+    if (!v || !c || !k || !w)
         return reject("missing key fields");
-    }
-    if (v != version || c != context || k != sim_key || w != workload)
+    if (*v != version || *c != context || *k != sim_key ||
+        *w != workload)
         return reject("key mismatch");
 
-    if (!j.contains("result"))
+    const Json *r = j.find("result");
+    if (!r)
         return reject("missing result");
-    const Json &r = j.at("result");
 
+    // A hit must carry values simulate() can produce: a field that
+    // is absent, negative, non-finite, fractional where a count is
+    // due, or past its type's range makes the entry a miss.
     SimResult res;
     res.workload = workload;
-    double warps = 0.0;
-    const bool ok = getNum(r, "ipc", res.ipc) &&
-                    getU64(r, "cycles", res.cycles) &&
-                    getU64(r, "instructions", res.instructions) &&
-                    getNum(r, "resident_warps", warps) &&
-                    getU64(r, "main_accesses", res.main_accesses) &&
-                    getU64(r, "cache_accesses", res.cache_accesses) &&
-                    getU64(r, "wcb_accesses", res.wcb_accesses) &&
-                    getU64(r, "xfer_regs", res.xfer_regs) &&
-                    getU64(r, "prefetch_ops", res.prefetch_ops) &&
-                    getU64(r, "writeback_regs", res.writeback_regs) &&
-                    getU64(r, "prefetch_stall_cycles",
+    const bool ok = getRate(*r, "ipc", res.ipc) &&
+                    getU64(*r, "cycles", res.cycles) &&
+                    getU64(*r, "instructions", res.instructions) &&
+                    getWarps(*r, "resident_warps", res.resident_warps) &&
+                    getU64(*r, "main_accesses", res.main_accesses) &&
+                    getU64(*r, "cache_accesses", res.cache_accesses) &&
+                    getU64(*r, "wcb_accesses", res.wcb_accesses) &&
+                    getU64(*r, "xfer_regs", res.xfer_regs) &&
+                    getU64(*r, "prefetch_ops", res.prefetch_ops) &&
+                    getU64(*r, "writeback_regs", res.writeback_regs) &&
+                    getU64(*r, "prefetch_stall_cycles",
                            res.prefetch_stall_cycles) &&
-                    getNum(r, "cache_hit_rate", res.cache_hit_rate) &&
-                    getNum(r, "l1d_hit_rate", res.l1d_hit_rate) &&
-                    getNum(r, "act_main",
-                           res.activity.main_accesses_per_cycle) &&
-                    getNum(r, "act_cache",
-                           res.activity.cache_accesses_per_cycle) &&
-                    getNum(r, "act_wcb",
-                           res.activity.wcb_accesses_per_cycle) &&
-                    getNum(r, "act_xfer",
-                           res.activity.xfer_regs_per_cycle);
+                    getRate(*r, "cache_hit_rate", res.cache_hit_rate) &&
+                    getRate(*r, "l1d_hit_rate", res.l1d_hit_rate) &&
+                    getRate(*r, "act_main",
+                            res.activity.main_accesses_per_cycle) &&
+                    getRate(*r, "act_cache",
+                            res.activity.cache_accesses_per_cycle) &&
+                    getRate(*r, "act_wcb",
+                            res.activity.wcb_accesses_per_cycle) &&
+                    getRate(*r, "act_xfer",
+                            res.activity.xfer_regs_per_cycle);
     if (!ok)
-        return reject("incomplete result");
-    res.resident_warps = static_cast<int>(warps);
+        return reject("missing or out-of-range result field");
 
     out = std::move(res);
     std::lock_guard<std::mutex> lk(mu);

@@ -79,9 +79,11 @@ class CellStore
      * Look the (sim_key, workload) cell up. On a hit, @p out carries
      * the persisted result (numeric fields; stall observability is
      * never persisted) and true returns. Any failure — absent entry,
-     * unparseable JSON, a verification mismatch against the stored
-     * key material, missing fields — is a miss; the non-absent
-     * failures warn once and count as errors.
+     * unreadable file, unparseable JSON, a verification mismatch
+     * against the stored key material, missing fields, or numbers
+     * no simulation produces (non-finite, negative, fractional
+     * counts, counts past 2^53, fewer than one resident warp) — is
+     * a miss; the non-absent failures warn once and count as errors.
      */
     bool load(const std::string &sim_key, const std::string &workload,
               SimResult &out);

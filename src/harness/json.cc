@@ -1,10 +1,13 @@
 #include "harness/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/log.hh"
 
@@ -32,14 +35,15 @@ typeName(Json::Type t)
  * Canonical number formatting: integers (the bulk of SimResult —
  * cycle and event counters) print without a decimal point or
  * exponent; everything else prints with %.17g, which round-trips
- * IEEE doubles exactly.
+ * IEEE doubles exactly. Negative zero takes the %.17g path ("-0"),
+ * so it keeps its sign too.
  */
 void
 appendNumber(std::string &out, double d)
 {
     char buf[40];
     if (std::isfinite(d) && d == std::floor(d) &&
-        std::fabs(d) < 9.0e15) {
+        std::fabs(d) < 9.0e15 && !(d == 0.0 && std::signbit(d))) {
         std::snprintf(buf, sizeof(buf), "%" PRId64,
                       static_cast<std::int64_t>(d));
     } else if (std::isfinite(d)) {
@@ -80,13 +84,20 @@ struct ParseError
 {
 };
 
-/** Recursive-descent parser over a string_view cursor. */
-class Parser
+} // namespace
+
+/**
+ * Recursive-descent parser over a string_view cursor. A friend of
+ * Json so each object's members, collected on one stack shared by
+ * all nesting levels, move into a vector allocated at its final size.
+ */
+class JsonParser
 {
   public:
-    explicit Parser(std::string_view text, bool lenient = false)
+    explicit JsonParser(std::string_view text, bool lenient = false)
         : text(text), lenient(lenient)
     {
+        members.reserve(32);    // a cell-store entry holds 23
     }
 
     Json
@@ -170,7 +181,7 @@ class Parser
         if (c == '"')
             return Json(parseString());
         if (c == '-' || (c >= '0' && c <= '9'))
-            return parseNumber();
+            return Json(parseNumber());
         if (consumeWord("true"))
             return Json(true);
         if (consumeWord("false"))
@@ -188,6 +199,7 @@ class Parser
         skipWs();
         if (consume('}'))
             return obj;
+        const std::size_t base = members.size();
         while (true) {
             skipWs();
             if (peek() != '"')
@@ -195,11 +207,26 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            obj.set(key, parseValue());
+            Json v = parseValue();
+            // A repeated key replaces the earlier value in place, as
+            // Json::set() does.
+            auto dup = std::find_if(
+                    members.begin() + static_cast<std::ptrdiff_t>(base),
+                    members.end(),
+                    [&](const auto &m) { return m.first == key; });
+            if (dup != members.end())
+                dup->second = std::move(v);
+            else
+                members.emplace_back(std::move(key), std::move(v));
             skipWs();
             if (consume(','))
                 continue;
             expect('}');
+            const auto first =
+                    members.begin() + static_cast<std::ptrdiff_t>(base);
+            obj.obj_.assign(std::make_move_iterator(first),
+                            std::make_move_iterator(members.end()));
+            members.erase(first, members.end());
             return obj;
         }
     }
@@ -228,15 +255,17 @@ class Parser
         expect('"');
         std::string s;
         while (true) {
+            // Copy the run up to the next quote or escape at once.
+            std::size_t run = pos;
+            while (run < text.size() && text[run] != '"' &&
+                   text[run] != '\\')
+                run++;
+            s.append(text.data() + pos, run - pos);
+            pos = run;
             if (pos >= text.size())
                 fail("unterminated string");
-            char c = text[pos++];
-            if (c == '"')
+            if (text[pos++] == '"')
                 return s;
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
             if (pos >= text.size())
                 fail("unterminated escape");
             char e = text[pos++];
@@ -285,10 +314,17 @@ class Parser
         }
     }
 
-    Json
+    /**
+     * A number token is '-' or a digit followed by any run of
+     * [0-9.eE+-], and must convert as a whole. from_chars converts it
+     * in place and rounds exactly as strtod does; only a value
+     * out of double's range goes to strtod, for its +-inf and
+     * underflow results.
+     */
+    double
     parseNumber()
     {
-        std::size_t start = pos;
+        const std::size_t start = pos;
         if (consume('-')) {}
         while (pos < text.size() &&
                (std::isdigit(static_cast<unsigned char>(text[pos])) ||
@@ -296,20 +332,25 @@ class Parser
                 text[pos] == 'E' || text[pos] == '+' ||
                 text[pos] == '-'))
             pos++;
-        std::string num(text.substr(start, pos - start));
-        char *end = nullptr;
-        double d = std::strtod(num.c_str(), &end);
-        if (end != num.c_str() + num.size() || num.empty())
+        const char *first = text.data() + start;
+        const char *last = text.data() + pos;
+        double d = 0.0;
+        const std::from_chars_result r = std::from_chars(first, last, d);
+        if (r.ptr != last)
             fail("malformed number");
-        return Json(d);
+        if (r.ec == std::errc::result_out_of_range)
+            d = std::strtod(std::string(first, last).c_str(), nullptr);
+        else if (r.ec != std::errc())
+            fail("malformed number");
+        return d;
     }
 
     std::string_view text;
     std::size_t pos = 0;
     bool lenient;
+    /** Members parsed so far of the open objects, innermost last. */
+    std::vector<std::pair<std::string, Json>> members;
 };
-
-} // namespace
 
 bool
 Json::asBool() const
@@ -330,15 +371,21 @@ Json::asDouble() const
 std::int64_t
 Json::asInt() const
 {
-    return static_cast<std::int64_t>(asDouble());
+    const double d = asDouble();
+    // [-2^63, 2^63): the doubles whose truncation fits an int64.
+    if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0))
+        ltrf_fatal("JSON number %g does not fit a 64-bit integer", d);
+    return static_cast<std::int64_t>(d);
 }
 
 std::uint64_t
 Json::asUint() const
 {
-    double d = asDouble();
+    const double d = asDouble();
     if (d < 0)
         ltrf_fatal("JSON number %g is negative, expected unsigned", d);
+    if (!(d < 18446744073709551616.0))
+        ltrf_fatal("JSON number %g does not fit a 64-bit unsigned", d);
     return static_cast<std::uint64_t>(d);
 }
 
@@ -381,7 +428,7 @@ Json::at(std::size_t i) const
 }
 
 Json &
-Json::set(const std::string &key, Json v)
+Json::set(std::string key, Json v)
 {
     if (type_ != Type::OBJECT)
         ltrf_fatal("set() on JSON %s", typeName(type_));
@@ -391,55 +438,58 @@ Json::set(const std::string &key, Json v)
             return *this;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    obj_.emplace_back(std::move(key), std::move(v));
     return *this;
 }
 
-bool
-Json::contains(const std::string &key) const
+const Json *
+Json::find(std::string_view key) const
 {
     if (type_ != Type::OBJECT)
-        return false;
+        return nullptr;
     for (const auto &[k, v] : obj_)
         if (k == key)
-            return true;
-    return false;
+            return &v;
+    return nullptr;
+}
+
+bool
+Json::contains(std::string_view key) const
+{
+    return find(key) != nullptr;
 }
 
 const Json &
-Json::at(const std::string &key) const
+Json::at(std::string_view key) const
 {
     if (type_ != Type::OBJECT)
         ltrf_fatal("keyed at() on JSON %s", typeName(type_));
-    for (const auto &[k, v] : obj_)
-        if (k == key)
-            return v;
-    ltrf_fatal("JSON object has no key \"%s\"", key.c_str());
+    const Json *v = find(key);
+    if (!v)
+        ltrf_fatal("JSON object has no key \"%.*s\"",
+                   static_cast<int>(key.size()), key.data());
+    return *v;
 }
 
 double
-Json::numberOr(const std::string &key, double fallback) const
+Json::numberOr(std::string_view key, double fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asDouble();
+    const Json *v = find(key);
+    return v ? v->asDouble() : fallback;
 }
 
 bool
-Json::boolOr(const std::string &key, bool fallback) const
+Json::boolOr(std::string_view key, bool fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asBool();
+    const Json *v = find(key);
+    return v ? v->asBool() : fallback;
 }
 
 std::string
-Json::stringOr(const std::string &key,
-               const std::string &fallback) const
+Json::stringOr(std::string_view key, const std::string &fallback) const
 {
-    if (!contains(key))
-        return fallback;
-    return at(key).asString();
+    const Json *v = find(key);
+    return v ? v->asString() : fallback;
 }
 
 const std::vector<std::pair<std::string, Json>> &
@@ -519,14 +569,14 @@ Json::dump(int indent) const
 Json
 Json::parse(std::string_view text)
 {
-    return Parser(text).parse();
+    return JsonParser(text).parse();
 }
 
 bool
 Json::tryParse(std::string_view text, Json &out)
 {
     try {
-        out = Parser(text, /*lenient=*/true).parse();
+        out = JsonParser(text, /*lenient=*/true).parse();
         return true;
     } catch (const ParseError &) {
         return false;

@@ -56,7 +56,9 @@ class Json
     // ----- Scalar access (fatal() on type mismatch) -----
     bool asBool() const;
     double asDouble() const;
+    /** The number truncated toward zero; fatal() if it does not fit. */
     std::int64_t asInt() const;
+    /** The number truncated toward zero; fatal() if it does not fit. */
     std::uint64_t asUint() const;
     const std::string &asString() const;
 
@@ -68,16 +70,22 @@ class Json
 
     // ----- Object access (insertion-ordered) -----
     /** Set @p key to @p v, replacing an existing entry in place. */
-    Json &set(const std::string &key, Json v);
-    bool contains(const std::string &key) const;
+    Json &set(std::string key, Json v);
+    /**
+     * The one keyed lookup: the value under @p key, or nullptr if
+     * this is not an object or has no such key. The accessors below
+     * are wrappers around it.
+     */
+    const Json *find(std::string_view key) const;
+    bool contains(std::string_view key) const;
     /** Look @p key up; fatal() if absent. */
-    const Json &at(const std::string &key) const;
+    const Json &at(std::string_view key) const;
     /** Look @p key up; @p fallback if absent. */
-    double numberOr(const std::string &key, double fallback) const;
+    double numberOr(std::string_view key, double fallback) const;
     /** Look @p key up; @p fallback if absent. */
-    bool boolOr(const std::string &key, bool fallback) const;
+    bool boolOr(std::string_view key, bool fallback) const;
     /** Look @p key up; @p fallback if absent. */
-    std::string stringOr(const std::string &key,
+    std::string stringOr(std::string_view key,
                          const std::string &fallback) const;
     const std::vector<std::pair<std::string, Json>> &items() const;
 
@@ -102,6 +110,8 @@ class Json
     bool operator==(const Json &o) const;
 
   private:
+    friend class JsonParser;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Type type_;

@@ -14,8 +14,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dse/cell_store.hh"
@@ -203,6 +205,131 @@ TEST_F(CellStoreTest, ValidJsonWithMissingFieldsIsAMiss)
     SimResult out;
     EXPECT_FALSE(store.load(KEY, "bfs", out));
     EXPECT_GE(store.counts().errors, 1u);
+}
+
+namespace
+{
+
+std::string
+readText(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f),
+                       std::istreambuf_iterator<char>());
+}
+
+/** @p text with the number after "key": replaced by @p value. */
+std::string
+withField(std::string text, const std::string &key,
+          const std::string &value)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = text.find(tag);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + tag.size();
+    const std::size_t to = text.find_first_of(",\n", from);
+    return text.replace(from, to - from, value);
+}
+
+} // namespace
+
+TEST_F(CellStoreTest, OutOfRangeNumbersAreAMissNotAHit)
+{
+    CellStore store(dir, "ctx");
+    store.store(KEY, "bfs", sampleResult());
+    const std::string path = store.entryPath(KEY, "bfs");
+    const std::string good = readText(path);
+
+    // Each edit parses as JSON, but no simulation produces it.
+    const std::vector<std::pair<std::string, std::string>> edits = {
+            {"cycles", "1e999"},
+            {"cycles", "-1"},
+            {"cycles", "1.5"},
+            {"instructions", "18014398509481984"},    // 2^54
+            {"prefetch_ops", "1e300"},
+            {"resident_warps", "1e12"},
+            {"resident_warps", "0"},
+            {"resident_warps", "2.5"},
+            {"ipc", "1e999"},
+            {"ipc", "-0.5"},
+            {"l1d_hit_rate", "-1e999"},
+            {"act_xfer", "-0.0001"},
+    };
+    std::uint64_t errors = 0;
+    for (const auto &[key, value] : edits) {
+        {
+            std::ofstream f(path, std::ios::trunc);
+            f << withField(good, key, value);
+        }
+        SimResult out;
+        EXPECT_FALSE(store.load(KEY, "bfs", out))
+                << key << ": " << value << " loaded as a hit";
+        EXPECT_EQ(store.counts().errors, ++errors) << key << ": " << value;
+    }
+    // Both counter kinds edited at once, as a damaged entry would be.
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << withField(withField(good, "cycles", "1e999"),
+                       "resident_warps", "1e12");
+    }
+    SimResult out;
+    EXPECT_FALSE(store.load(KEY, "bfs", out));
+    EXPECT_EQ(store.counts().hits, 0u);
+
+    // The largest exact counter and the untouched entry still load.
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << withField(good, "cycles", "9007199254740992");
+    }
+    ASSERT_TRUE(store.load(KEY, "bfs", out));
+    EXPECT_EQ(out.cycles, 9007199254740992ull);
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << good;
+    }
+    ASSERT_TRUE(store.load(KEY, "bfs", out));
+    expectSame(sampleResult(), out);
+}
+
+TEST_F(CellStoreTest, UnreadableEntryIsAnErrorNotACrash)
+{
+    CellStore store(dir, "ctx");
+    SimResult out;
+
+    // Absent: a plain miss.
+    EXPECT_FALSE(store.load(KEY, "bfs", out));
+    EXPECT_EQ(store.counts().misses, 1u);
+    EXPECT_EQ(store.counts().errors, 0u);
+
+    // Present but unreadable (read() fails with EISDIR): an error.
+    fs::create_directories(store.entryPath(KEY, "bfs"));
+    EXPECT_FALSE(store.load(KEY, "bfs", out));
+    EXPECT_EQ(store.counts().misses, 2u);
+    EXPECT_EQ(store.counts().errors, 1u);
+    EXPECT_EQ(store.counts().hits, 0u);
+
+    // A store cannot publish over the directory either; that too is
+    // an error, and the run goes on uncached.
+    store.store(KEY, "bfs", sampleResult());
+    EXPECT_EQ(store.counts().errors, 2u);
+    EXPECT_FALSE(store.load(KEY, "bfs", out));
+}
+
+TEST_F(CellStoreTest, EntryLargerThanOneReadStillLoads)
+{
+    // Entries are read in one sized read when they fit; one padded
+    // past that size (whitespace is valid JSON) must still load.
+    CellStore store(dir, "ctx");
+    store.store(KEY, "bfs", sampleResult());
+    const std::string path = store.entryPath(KEY, "bfs");
+    const std::string good = readText(path);
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << good << std::string(20000, ' ');
+    }
+    SimResult out;
+    ASSERT_TRUE(store.load(KEY, "bfs", out));
+    expectSame(sampleResult(), out);
 }
 
 TEST_F(CellStoreTest, SimVersionChangeInvalidatesPassively)

@@ -2,15 +2,23 @@
  * @file
  * Tests for the experiment-runner subsystem: sweep-spec expansion,
  * thread-pool determinism (identical results for 1 and 8 jobs),
- * JSON round-tripping, and baseline normalization against the
+ * the JSON codec's language (bit-exact number round trips, the
+ * accepted number grammar, strings, duplicate keys), and baseline
+ * normalization against the
  * 256KB-baseline rule bench_util.hh documents.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -330,6 +338,170 @@ TEST(JsonDeathTest, MalformedInputIsFatal)
 {
     EXPECT_EXIT(Json::parse("{\"a\":}"), ::testing::ExitedWithCode(1),
                 "JSON parse error");
+}
+
+namespace
+{
+
+std::uint64_t
+bitsOf(double d)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+}
+
+/** Write @p d, parse it back, and demand the identical bit pattern. */
+void
+expectNumberRoundTrip(double d)
+{
+    const std::string text = jsonNumberText(d);
+    EXPECT_EQ(bitsOf(Json::parse(text).asDouble()), bitsOf(d))
+            << text << " (" << d << ")";
+}
+
+} // namespace
+
+TEST(Json, NumbersRoundTripBitForBit)
+{
+    // Random bit patterns cover every exponent, subnormals included.
+    std::mt19937_64 rng(20181024);
+    int checked = 0;
+    while (checked < 100000) {
+        const std::uint64_t u = rng();
+        double d;
+        std::memcpy(&d, &u, sizeof(d));
+        if (!std::isfinite(d))
+            continue;
+        expectNumberRoundTrip(d);
+        checked++;
+    }
+}
+
+TEST(Json, NumbersRoundTripAtTheEdges)
+{
+    const double two53 = 9007199254740992.0;
+    const double edges[] = {
+            0.0,
+            -0.0,
+            std::numeric_limits<double>::denorm_min(),
+            -std::numeric_limits<double>::denorm_min(),
+            std::nextafter(DBL_MIN, 0.0),    // largest subnormal
+            DBL_MIN,
+            DBL_MAX,
+            -DBL_MAX,
+            two53 - 1,
+            two53,
+            two53 + 2,    // 2^53 + 1 is not a double
+            -(two53 + 2),
+            // The writer's integer path ends below 9e15.
+            std::nextafter(9.0e15, 0.0),
+            9.0e15,
+            std::nextafter(9.0e15, DBL_MAX),
+            -9.0e15,
+            8999999999999999.0,
+            0.1,
+            1.2345678901234567,
+    };
+    for (const double d : edges)
+        expectNumberRoundTrip(d);
+    EXPECT_EQ(jsonNumberText(-0.0), "-0");
+    EXPECT_EQ(jsonNumberText(8999999999999999.0), "8999999999999999");
+}
+
+TEST(Json, NumberGrammar)
+{
+    // Rejected: an incomplete exponent, a lone sign, a leading '+'
+    // or '.'.
+    for (const char *bad : {"1e", "-", "+1", ".5", "1e+", "1.5.5",
+                            "1-2", "--1"}) {
+        Json j;
+        EXPECT_FALSE(Json::tryParse(bad, j)) << bad;
+    }
+    // Accepted, strtod's reading: a trailing '.', a signed exponent,
+    // leading zeros, and out-of-range magnitudes (to +-inf and 0).
+    const std::pair<const char *, double> good[] = {
+            {"5.", 5.0},
+            {"1E+2", 100.0},
+            {"01", 1.0},
+            {"-.5", -0.5},
+            {"1e999", HUGE_VAL},
+            {"-1e999", -HUGE_VAL},
+            {"1e-999", 0.0},
+    };
+    for (const auto &[text, want] : good) {
+        Json j;
+        ASSERT_TRUE(Json::tryParse(text, j)) << text;
+        EXPECT_EQ(bitsOf(j.asDouble()), bitsOf(want)) << text;
+    }
+}
+
+TEST(Json, StringsRoundTrip)
+{
+    const std::string cases[] = {
+            "",
+            "plain",
+            "a run longer than the small-string buffer",
+            "quote \" backslash \\ slash /",
+            "ws \n\t\r and control \x01\x1f",
+            std::string("nul \0 inside", 13),
+            "utf-8 \xc3\xa9\xe2\x82\xac",
+    };
+    for (const std::string &s : cases) {
+        const std::string text = Json(s).dump();
+        EXPECT_EQ(Json::parse(text).asString(), s) << text;
+    }
+    // Escapes the writer never emits still decode.
+    EXPECT_EQ(Json::parse("\"\\/\\b\\f\\u00e9\\u20ac\"").asString(),
+              "/\b\f\xc3\xa9\xe2\x82\xac");
+    Json j;
+    EXPECT_FALSE(Json::tryParse("\"unterminated", j));
+    EXPECT_FALSE(Json::tryParse("\"bad \\q escape\"", j));
+    EXPECT_FALSE(Json::tryParse("\"short \\u12\"", j));
+}
+
+TEST(Json, DuplicateKeyReplacesInPlace)
+{
+    const Json j = Json::parse(
+            "{\"a\": 1, \"b\": {\"x\": 1, \"y\": 2, \"x\": 3}, "
+            "\"a\": {\"a\": 4}}");
+    EXPECT_EQ(j.dump(), "{\"a\":{\"a\":4},\"b\":{\"x\":3,\"y\":2}}");
+
+    Json k = Json::object();
+    k.set("a", 1);
+    k.set("b", 2);
+    k.set("a", 3);
+    EXPECT_EQ(k.dump(), "{\"a\":3,\"b\":2}");
+}
+
+TEST(Json, FindIsTheKeyedLookup)
+{
+    const Json j = Json::parse("{\"n\": 2.5, \"s\": \"v\"}");
+    ASSERT_NE(j.find("n"), nullptr);
+    EXPECT_EQ(j.find("n")->asDouble(), 2.5);
+    EXPECT_EQ(j.find("missing"), nullptr);
+    EXPECT_EQ(Json(1.0).find("n"), nullptr) << "not an object";
+    EXPECT_TRUE(j.contains("s"));
+    EXPECT_FALSE(j.contains("t"));
+    EXPECT_EQ(j.numberOr("n", 0.0), 2.5);
+    EXPECT_EQ(j.numberOr("t", 7.0), 7.0);
+    EXPECT_EQ(j.stringOr("s", "x"), "v");
+    EXPECT_EQ(j.stringOr("t", "x"), "x");
+}
+
+TEST(JsonDeathTest, IntegerAccessRejectsOutOfRange)
+{
+    const Json j = Json::parse("[1e999, 1e19, -1, 1e300]");
+    EXPECT_EXIT(j.at(0).asInt(), ::testing::ExitedWithCode(1),
+                "does not fit");
+    EXPECT_EXIT(j.at(1).asInt(), ::testing::ExitedWithCode(1),
+                "does not fit");
+    EXPECT_EXIT(j.at(2).asUint(), ::testing::ExitedWithCode(1),
+                "negative");
+    EXPECT_EXIT(j.at(3).asUint(), ::testing::ExitedWithCode(1),
+                "does not fit");
+    EXPECT_EQ(Json(-2.75).asInt(), -2);
+    EXPECT_EQ(j.at(1).asUint(), 10000000000000000000ull);
 }
 
 TEST(ResultSet, JsonRoundTrip)
