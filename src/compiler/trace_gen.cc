@@ -31,6 +31,8 @@ generateTrace(const Kernel &kernel, std::uint64_t seed,
     BlockId cur = kernel.entry();
     while (true) {
         const BasicBlock &bb = kernel.block(cur);
+        if (!bb.instrs.empty())
+            trace.path.push_back(cur);
         for (std::uint32_t i = 0; i < bb.instrs.size(); i++) {
             trace.refs.push_back({cur, i});
             if (bb.instrs[i].op != Opcode::PREFETCH)

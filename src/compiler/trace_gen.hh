@@ -30,19 +30,30 @@ struct TraceRef
 /** One warp's dynamic instruction stream. */
 struct WarpTrace
 {
+    /** Every dynamic instruction, in execution order. */
     std::vector<TraceRef> refs;
+    /**
+     * The non-empty blocks control visits, in execution order: every
+     * visit runs its block from the first instruction to the last,
+     * so `refs` is this path flattened (cut short when truncated).
+     * The simulator fetches through it (see Warp).
+     */
+    std::vector<BlockId> path;
     /** Dynamic instructions excluding PREFETCH operations. */
     std::uint64_t real_instrs = 0;
     /** True if the max_instrs safety cap cut the walk short. */
     bool truncated = false;
 };
 
+/** Default safety cap on one warp trace's length. */
+constexpr std::uint64_t DEFAULT_MAX_TRACE_INSTRS = 1u << 20;
+
 /**
  * Walk @p kernel's CFG from the entry, resolving branches with the
  * per-warp @p seed, until EXIT or @p max_instrs instructions.
  */
 WarpTrace generateTrace(const Kernel &kernel, std::uint64_t seed,
-                        std::uint64_t max_instrs = 1u << 20);
+                        std::uint64_t max_instrs = DEFAULT_MAX_TRACE_INSTRS);
 
 /** Aggregate interval-length statistics (paper Table 4). */
 struct IntervalLengthStats

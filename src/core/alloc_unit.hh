@@ -7,12 +7,15 @@
  * offset) on allocation, and deallocated entries return to it. One
  * instance per warp manages cache-bank slots; a global instance
  * manages warp-offset addresses.
+ *
+ * The unused queue holds each identifier at most once, so it is a
+ * fixed ring of n slots: allocate pops the head, release appends at
+ * the tail, and nothing allocates after construction.
  */
 
 #ifndef LTRF_CORE_ALLOC_UNIT_HH
 #define LTRF_CORE_ALLOC_UNIT_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
@@ -32,16 +35,18 @@ class AllocUnit
     /** Return @p id to the unused queue; panics on double free. */
     void release(int id);
 
-    int freeCount() const { return static_cast<int>(unused.size()); }
-    int capacity() const { return static_cast<int>(allocated.size()); }
+    int freeCount() const { return num_free; }
+    int capacity() const { return static_cast<int>(ring.size()); }
     bool isAllocated(int id) const;
 
     /** Release everything (warp teardown). */
     void reset();
 
   private:
-    std::deque<int> unused;
+    std::vector<int> ring;        ///< unused queue, from ring[head]
     std::vector<char> allocated;
+    int head = 0;
+    int num_free = 0;
 };
 
 } // namespace ltrf

@@ -79,14 +79,19 @@ compileWorkloadStatic(const Kernel &kernel, const SimConfig &cfg)
 
 CompiledWorkload
 compileWorkload(const Kernel &kernel, const SimConfig &cfg,
-                std::uint64_t seed, std::uint64_t max_trace_instrs)
+                std::uint64_t seed, std::uint64_t max_trace_instrs,
+                int num_traces)
 {
+    ltrf_assert(num_traces >= 0 && num_traces <= cfg.max_warps_per_sm,
+                "trace count %d out of range", num_traces);
+    if (num_traces == 0)
+        num_traces = cfg.max_warps_per_sm;
     CompiledWorkload out = compileWorkloadStatic(kernel, cfg);
 
     // Per-warp traces. All SMs share the same per-warp trace set;
     // memory address streams still differ per SM at simulation time.
-    out.traces.reserve(static_cast<size_t>(cfg.max_warps_per_sm));
-    for (int w = 0; w < cfg.max_warps_per_sm; w++) {
+    out.traces.reserve(static_cast<size_t>(num_traces));
+    for (int w = 0; w < num_traces; w++) {
         out.traces.push_back(generateTrace(
                 out.analysis.kernel,
                 mixSeeds(seed, static_cast<std::uint64_t>(w)),

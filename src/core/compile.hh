@@ -44,7 +44,7 @@ struct CompiledWorkload
     std::vector<RegBitVec> shrf_cached;
     /** Code-size accounting (prefetch designs only). */
     PrefetchCodeSize code_size;
-    /** Per-warp dynamic traces (max_warps_per_sm entries). */
+    /** Per-warp dynamic traces, warp w's at index w. */
     std::vector<WarpTrace> traces;
 
     const Kernel &kernel() const { return analysis.kernel; }
@@ -75,10 +75,16 @@ CompiledWorkload compileWorkloadStatic(const Kernel &kernel,
  * per-warp traces seeded from @p seed.
  *
  * @param max_trace_instrs safety cap per warp trace
+ * @param num_traces       traces for warps [0, num_traces); 0 means
+ *                         all max_warps_per_sm. Warp w's trace
+ *                         depends only on (seed, w), so a shorter
+ *                         list is a prefix of the full one.
  */
 CompiledWorkload compileWorkload(const Kernel &kernel, const SimConfig &cfg,
                                  std::uint64_t seed,
-                                 std::uint64_t max_trace_instrs = 1u << 20);
+                                 std::uint64_t max_trace_instrs =
+                                         DEFAULT_MAX_TRACE_INSTRS,
+                                 int num_traces = 0);
 
 } // namespace ltrf
 

@@ -1,7 +1,5 @@
 #include "core/main_regfile.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace ltrf
@@ -15,18 +13,6 @@ MainRegFile::MainRegFile(int num_banks, int latency)
     ltrf_assert(latency >= 1, "MRF latency must be >= 1 cycle");
     stat_group.add("accesses", &stat_accesses);
     stat_group.add("conflict_cycles", &stat_conflicts);
-}
-
-Cycle
-MainRegFile::access(WarpId w, RegId r, Cycle now)
-{
-    Cycle &busy = banks[bankOf(w, r)];
-    Cycle start = std::max(now, busy);
-    if (start > now)
-        stat_conflicts += start - now;
-    busy = start + 1;   // pipelined: one new access per cycle
-    stat_accesses++;
-    return start + access_latency;
 }
 
 } // namespace ltrf

@@ -16,6 +16,7 @@
 #ifndef LTRF_CORE_MAIN_REGFILE_HH
 #define LTRF_CORE_MAIN_REGFILE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/stats.hh"
@@ -39,7 +40,17 @@ class MainRegFile
      * @p now. The bank accepts one access per cycle.
      * @return the cycle the data is available.
      */
-    Cycle access(WarpId w, RegId r, Cycle now);
+    Cycle
+    access(WarpId w, RegId r, Cycle now)
+    {
+        Cycle &busy = banks[static_cast<std::size_t>(bankOf(w, r))];
+        Cycle start = std::max(now, busy);
+        if (start > now)
+            stat_conflicts += start - now;
+        busy = start + 1;   // pipelined: one new access per cycle
+        stat_accesses++;
+        return start + static_cast<Cycle>(access_latency);
+    }
 
     /**
      * Record a result write that retires at some future completion

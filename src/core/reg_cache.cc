@@ -1,7 +1,5 @@
 #include "core/reg_cache.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace ltrf
@@ -15,19 +13,6 @@ RegCache::RegCache(int num_banks, int latency)
     ltrf_assert(latency >= 1, "cache latency must be >= 1 cycle");
     stat_group.add("accesses", &stat_accesses);
     stat_group.add("conflict_cycles", &stat_conflicts);
-}
-
-Cycle
-RegCache::access(int bank, Cycle now)
-{
-    ltrf_assert(bank >= 0 && bank < numBanks(), "bad cache bank %d", bank);
-    Cycle &busy = banks[bank];
-    Cycle start = std::max(now, busy);
-    if (start > now)
-        stat_conflicts += start - now;
-    busy = start + 1;   // pipelined: one-cycle bank occupancy
-    stat_accesses++;
-    return start + access_latency;
 }
 
 } // namespace ltrf

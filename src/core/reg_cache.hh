@@ -13,8 +13,10 @@
 #ifndef LTRF_CORE_REG_CACHE_HH
 #define LTRF_CORE_REG_CACHE_HH
 
+#include <algorithm>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -35,7 +37,19 @@ class RegCache
      * Access @p bank no earlier than @p now; the bank is occupied
      * for one cycle (pipelined). @return data-ready cycle.
      */
-    Cycle access(int bank, Cycle now);
+    Cycle
+    access(int bank, Cycle now)
+    {
+        ltrf_assert(bank >= 0 && bank < numBanks(), "bad cache bank %d",
+                    bank);
+        Cycle &busy = banks[static_cast<std::size_t>(bank)];
+        Cycle start = std::max(now, busy);
+        if (start > now)
+            stat_conflicts += start - now;
+        busy = start + 1;   // pipelined: one-cycle bank occupancy
+        stat_accesses++;
+        return start + static_cast<Cycle>(access_latency);
+    }
 
     /**
      * Record a result write retiring at a future completion time;

@@ -238,12 +238,12 @@ class PrefetchRf final : public RegFileSystem
     {
         WarpRf &wrf = warps[w];
         Cycle ready = now;
+        const Cycle lookup_done = now + config.wcb_latency;
         for (int i = 0; i < 3; i++) {
             RegId s = in.srcs[i];
             if (s == INVALID_REG)
                 continue;
             stats.wcb_accesses++;
-            Cycle lookup_done = now + config.wcb_latency;
             if (!wrf.wcb.resident(s)) {
                 // Only SHRF reads non-cache-allocated registers from
                 // the main register file; for LTRF the working set
@@ -255,11 +255,11 @@ class PrefetchRf final : public RegFileSystem
                 ready = std::max(ready, mrf.access(w, s, lookup_done));
                 stats.main_accesses++;
             } else {
+                int bank = wrf.wcb.bank(s);
                 if (compiled.design == RfDesign::SHRF)
                     stats.cache_hits++;
                 stats.cache_accesses++;
-                ready = std::max(ready, cache.access(wrf.wcb.bank(s),
-                                                     lookup_done));
+                ready = std::max(ready, cache.access(bank, lookup_done));
             }
             if (isPlus() && in.src_dead[i])
                 wrf.wcb.markDead(s);

@@ -95,8 +95,11 @@ class Wcb
     }
 
   private:
-    std::array<std::int8_t, MAX_ARCH_REGS> bank_of;
+    // Operand reads test resident_set and then read bank_of[r]; with
+    // the valid bits first, a low register's bit and bank share a
+    // cache line.
     RegBitVec resident_set;
+    std::array<std::int8_t, MAX_ARCH_REGS> bank_of;
     RegBitVec working_set;
     RegBitVec liveness;
     int warp_offset = -1;

@@ -24,7 +24,10 @@ Gpu::Gpu(const SimConfig &cfg, const Kernel &kernel, std::uint64_t seed)
     : config(cfg), workload_name(kernel.name)
 {
     config.validate();
-    compiled = compileWorkload(kernel, config, seed);
+    // Only the resident warps' traces: the rest would never run.
+    int resident = residentWarps(config, kernel);
+    compiled = compileWorkload(kernel, config, seed,
+                               DEFAULT_MAX_TRACE_INSTRS, resident);
     if (config.verify_kernels) {
         VerifyResult vr = verifyAnalysis(compiled.analysis,
                                          config.regs_per_interval);
@@ -36,7 +39,6 @@ Gpu::Gpu(const SimConfig &cfg, const Kernel &kernel, std::uint64_t seed)
         }
     }
     mem = std::make_unique<MemSystem>(config);
-    int resident = residentWarps(config, kernel);
     for (int s = 0; s < config.num_sms; s++) {
         sms.push_back(std::make_unique<Sm>(s, config, compiled, *mem,
                                            resident));
@@ -51,28 +53,28 @@ Gpu::run(Cycle max_cycles)
     // pending event so idle stretches (everything waiting on memory)
     // are skipped. With cfg.skip_ahead off, every live SM is stepped
     // every cycle instead — the slow reference mode the fast-forward
-    // determinism test compares against.
+    // determinism test compares against. Each step returns the SM's
+    // next event, so no second pass over the pool is needed.
+    ltrf_assert(max_cycles <= MAX_SCOREBOARD_CYCLE,
+                "max_cycles %llu exceeds the 32-bit scoreboard",
+                static_cast<unsigned long long>(max_cycles));
     const bool skip = config.skip_ahead;
     Cycle cycle = 0;
+    // wake[i] == NEVER exactly when SM i is done: step() returns
+    // NEVER then and only then.
     std::vector<Cycle> wake(sms.size(), 0);
     while (cycle < max_cycles) {
         Cycle next = NEVER;
-        bool all_done = true;
         for (size_t i = 0; i < sms.size(); i++) {
-            Sm &sm = *sms[i];
-            if (sm.done())
-                continue;
-            all_done = false;
-            if (!skip || wake[i] <= cycle) {
-                sm.step(cycle);
-                wake[i] = sm.done() ? NEVER : sm.nextEvent(cycle);
-            }
+            if (skip ? wake[i] <= cycle : wake[i] != NEVER)
+                wake[i] = sms[i]->step(cycle);
             next = std::min(next, wake[i]);
         }
-        if (all_done)
+        if (next == NEVER) {
+            cycle++;    // the run ends one past its last step
             break;
-        cycle = (skip && next != NEVER) ? std::max(next, cycle + 1)
-                                        : cycle + 1;
+        }
+        cycle = skip ? std::max(next, cycle + 1) : cycle + 1;
     }
     ltrf_assert(cycle < max_cycles,
                 "simulation of '%s' exceeded %llu cycles",

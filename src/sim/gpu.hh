@@ -70,7 +70,10 @@ class Gpu
      */
     Gpu(const SimConfig &cfg, const Kernel &kernel, std::uint64_t seed);
 
-    /** Run to completion (or @p max_cycles) and aggregate results. */
+    /**
+     * Run to completion (or @p max_cycles, at most UINT32_MAX: the
+     * scoreboard holds 32-bit cycles) and aggregate results.
+     */
     SimResult run(Cycle max_cycles = 500'000'000);
 
     /**

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -9,11 +10,14 @@ namespace ltrf
 
 TwoLevelScheduler::TwoLevelScheduler(int num_active,
                                      std::vector<Warp> &warps_)
-    : num_active_slots(num_active), warps(warps_)
+    : num_active_slots(num_active), warps(warps_),
+      ready_queue(static_cast<int>(warps_.size())),
+      waiting((warps_.size() + 63) / 64, 0)
 {
     ltrf_assert(num_active >= 1, "active pool must hold >= 1 warp");
-    for (const Warp &w : warps)
-        ready_queue.push_back(w.id);
+    for (std::size_t i = 0; i < warps.size(); i++)
+        ltrf_assert(warps[i].id == static_cast<WarpId>(i),
+                    "warp %zu has id %d", i, warps[i].id);
 }
 
 void
@@ -26,33 +30,32 @@ TwoLevelScheduler::tick(Cycle now, RegFileSystem &rf)
     // would, so the ready queue fills in the same order.
     if (next_transition <= now) {
         next_transition = NEVER;
-        for (Warp &w : warps) {
-            if (w.state == WarpState::ACTIVATING) {
-                if (w.wait_until <= now) {
+        for (std::size_t word = 0; word < waiting.size(); word++) {
+            for (std::uint64_t bits = waiting[word]; bits != 0;
+                 bits &= bits - 1) {
+                const int bit = std::countr_zero(bits);
+                Warp &w = warps[word * 64 + static_cast<std::size_t>(bit)];
+                if (w.wait_until > now) {
+                    next_transition =
+                            std::min(next_transition, w.wait_until);
+                    continue;
+                }
+                waiting[word] &= ~(std::uint64_t{1} << bit);
+                if (w.state == WarpState::ACTIVATING) {
                     w.state = WarpState::ACTIVE;
                     w.ready_at = std::max(w.ready_at, w.wait_until);
                 } else {
-                    next_transition =
-                            std::min(next_transition, w.wait_until);
-                }
-            } else if (w.state == WarpState::INACTIVE_WAIT) {
-                if (w.wait_until <= now) {
                     w.state = WarpState::INACTIVE_READY;
-                    ready_queue.push_back(w.id);
+                    ready_queue.release(w.id);
                     num_wait--;
-                } else {
-                    next_transition =
-                            std::min(next_transition, w.wait_until);
                 }
             }
         }
     }
 
     // Fill free active slots from the inactive-ready queue.
-    while (static_cast<int>(active.size()) < num_active_slots &&
-           !ready_queue.empty()) {
-        WarpId id = ready_queue.front();
-        ready_queue.pop_front();
+    while (poolHasRoom() && ready_queue.freeCount() > 0) {
+        WarpId id = ready_queue.allocate();
         Warp &w = warps[id];
         ltrf_assert(w.state == WarpState::INACTIVE_READY,
                     "warp %d in ready queue but state %d", id,
@@ -66,14 +69,14 @@ TwoLevelScheduler::tick(Cycle now, RegFileSystem &rf)
         } else {
             w.state = WarpState::ACTIVATING;
             w.wait_until = done;
+            setWaiting(id);
             next_transition = std::min(next_transition, done);
             stat_slow_activations++;
         }
     }
-    ltrf_assert(static_cast<int>(active.size()) == num_active_slots ||
-                ready_queue.empty(),
-                "pool %zu/%d with %zu ready warps queued", active.size(),
-                num_active_slots, ready_queue.size());
+    ltrf_assert(!poolHasRoom() || ready_queue.freeCount() == 0,
+                "pool %zu/%d with %d ready warps queued", active.size(),
+                num_active_slots, ready_queue.freeCount());
 }
 
 void
@@ -86,6 +89,7 @@ TwoLevelScheduler::deactivate(Warp &w, Cycle until, RegFileSystem &rf,
     removeActive(w.id);
     w.state = WarpState::INACTIVE_WAIT;
     w.wait_until = until;
+    setWaiting(w.id);
     num_wait++;
     next_transition = std::min(next_transition, until);
     stat_deactivations++;

@@ -10,19 +10,27 @@
  *
  * The scheduler is event-gated: it tracks the earliest cycle any
  * ACTIVATING or INACTIVE_WAIT warp can change state, so tick() only
- * walks the warp array on cycles where a promotion is actually due
- * instead of polling every resident warp every cycle. The walk
- * itself is unchanged (warp-id order), so promotion order — and with
- * it every downstream result — is bit-identical to the polling
- * implementation.
+ * walks the waiting warps on cycles where a promotion is actually
+ * due instead of polling every resident warp every cycle. The walk
+ * visits the waiting warps (a bit mask over warp ids) in warp-id
+ * order, so promotion order — and with it every downstream result —
+ * is bit-identical to the polling implementation. The SM calls
+ * tick() only when tickDue() says a promotion or a pool fill is
+ * pending.
+ *
+ * The inactive-ready queue is a FIFO over warp ids in which each warp
+ * appears at most once: an AllocUnit whose free queue is the ready
+ * queue (activation allocates its head, a resolved wait releases the
+ * warp to its tail).
  */
 
 #ifndef LTRF_SIM_SCHEDULER_HH
 #define LTRF_SIM_SCHEDULER_HH
 
-#include <deque>
+#include <cstdint>
 #include <vector>
 
+#include "core/alloc_unit.hh"
 #include "core/regfile_system.hh"
 #include "sim/warp.hh"
 
@@ -46,6 +54,21 @@ class TwoLevelScheduler
      */
     void tick(Cycle now, RegFileSystem &rf);
 
+    /** @return true if tick() at @p now would change anything. */
+    bool
+    tickDue(Cycle now) const
+    {
+        return next_transition <= now ||
+               (poolHasRoom() && ready_queue.freeCount() > 0);
+    }
+
+    /** The active pool has a free slot. */
+    bool
+    poolHasRoom() const
+    {
+        return static_cast<int>(active.size()) < num_active_slots;
+    }
+
     /** Deactivate @p w until @p until (long-latency stall). */
     void deactivate(Warp &w, Cycle until, RegFileSystem &rf, Cycle now);
 
@@ -55,14 +78,22 @@ class TwoLevelScheduler
     /** Warps currently in the active pool, in slot order. */
     const std::vector<WarpId> &activePool() const { return active; }
 
-    /** Round-robin start index, advanced by the SM after each issue. */
+    /**
+     * Round-robin start index, advanced by the SM after each issue.
+     * Always below the pool size while the pool is non-empty (pool
+     * removals re-wrap it and fills only grow the pool).
+     */
     int rrIndex() const { return rr; }
-    void advanceRr() { rr = active.empty() ? 0 : (rr + 1) % active.size(); }
+    void
+    advanceRr()
+    {
+        rr = rr + 1 < static_cast<int>(active.size()) ? rr + 1 : 0;
+    }
 
     int finishedCount() const { return num_finished; }
 
     /** Warps in INACTIVE_READY (== the ready queue's occupancy). */
-    int readyCount() const { return static_cast<int>(ready_queue.size()); }
+    int readyCount() const { return ready_queue.freeCount(); }
 
     /** Warps in INACTIVE_WAIT. */
     int waitCount() const { return num_wait; }
@@ -86,10 +117,19 @@ class TwoLevelScheduler
   private:
     void removeActive(WarpId id);
 
+    void
+    setWaiting(WarpId id)
+    {
+        waiting[static_cast<std::size_t>(id) / 64] |=
+                std::uint64_t{1} << (id % 64);
+    }
+
     int num_active_slots;
     std::vector<Warp> &warps;
     std::vector<WarpId> active;
-    std::deque<WarpId> ready_queue;
+    AllocUnit ready_queue;          ///< free queue = INACTIVE_READY
+    /** Bit per warp id: ACTIVATING or INACTIVE_WAIT. */
+    std::vector<std::uint64_t> waiting;
     int rr = 0;
     int num_finished = 0;
     int num_wait = 0;               ///< INACTIVE_WAIT population

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -36,7 +37,7 @@ makeWarps(const CompiledWorkload &cw, int resident_warps,
     std::vector<Warp> out;
     out.reserve(static_cast<size_t>(resident_warps));
     for (int w = 0; w < resident_warps; w++)
-        out.emplace_back(w, &cw.traces[w], arena);
+        out.emplace_back(w, cw.traces[w], cw.kernel(), arena);
     return out;
 }
 
@@ -90,14 +91,32 @@ Sm::Sm(int sm_id, const SimConfig &cfg, const CompiledWorkload &cw,
 }
 
 int
-Sm::freeCollector(Cycle now, Cycle &earliest_free) const
+Sm::freeCollector(Cycle now)
 {
-    earliest_free = NEVER;
-    for (size_t i = 0; i < collectors.size(); i++) {
-        if (collectors[i] <= now)
+    // coll_min is a lower bound on every busy-until, exact whenever
+    // it is above the current cycle: only a failed search raises it,
+    // and no issue (the only writer of collectors) can happen before
+    // the SM's time reaches it. So while it is ahead, every
+    // collector is still busy and the answer is O(1). Once time
+    // reaches it, the collector that failed search found earliest is
+    // free, and it is handed out without a search.
+    if (coll_min > now)
+        return -1;
+    if (coll_argmin >= 0)
+        return std::exchange(coll_argmin, -1);
+    Cycle earliest = NEVER;
+    int arg = -1;
+    for (std::size_t i = 0; i < collectors.size(); i++) {
+        const Cycle c = collectors[i];
+        if (c <= now)
             return static_cast<int>(i);
-        earliest_free = std::min(earliest_free, collectors[i]);
+        // Any free collector is as good as another (a free busy-until
+        // never matters again: the SM's time only moves forward).
+        arg = c < earliest ? static_cast<int>(i) : arg;
+        earliest = std::min(earliest, c);
     }
+    coll_min = earliest;
+    coll_argmin = arg;
     return -1;
 }
 
@@ -125,56 +144,63 @@ Sm::lineFor(Warp &w, const Instruction &in)
     return regionBase(region) + within;
 }
 
+void
+Sm::observeCollectorStall(const Warp &w, Cycle now)
+{
+    if (collect)
+        collector_wait.sample(coll_min - now);
+    if (trace)
+        trace->complete("stall:collector", trace_pid, w.id, now,
+                        coll_min - now);
+}
+
 bool
 Sm::tryIssue(Warp &w, Cycle now)
 {
-    const Kernel &kernel = compiled.kernel();
+    // A parked warp already passed everything below up to the
+    // collector check for this dynamic instruction (see warp.hh).
+    if (!w.parked) {
+        pipe.full_decodes++;
+        // Skip no-op PREFETCHes for free; a triggered PREFETCH blocks
+        // the warp until the working set arrives and consumes the
+        // slot.
+        while (!w.atEnd() && w.cur->op == Opcode::PREFETCH) {
+            Cycle done = regfile->prefetch(w.id, w.bb, *w.cur, now);
+            w.advance();
+            if (done > now) {
+                w.ready_at = done;
+                w.last_stall = obs::StallCause::PREFETCH_WAIT;
+                if (trace)
+                    trace->complete("prefetch", trace_pid, w.id, now,
+                                    done - now);
+                return true;
+            }
+        }
+        ltrf_assert(!w.atEnd(), "warp %d ran past its trace", w.id);
 
-    // Skip no-op PREFETCHes for free; a triggered PREFETCH blocks the
-    // warp until the working set arrives and consumes the slot.
-    while (!w.atEnd()) {
-        const TraceRef &ref = w.trace->refs[w.pc];
-        const Instruction &in = kernel.block(ref.bb).instrs[ref.idx];
-        if (in.op != Opcode::PREFETCH)
-            break;
-        Cycle done = regfile->prefetch(w.id, ref.bb, in, now);
-        w.pc++;
-        if (done > now) {
-            w.ready_at = done;
-            w.last_stall = obs::StallCause::PREFETCH_WAIT;
+        const Instruction &in = *w.cur;
+        // Scoreboard: all sources ready, destination write ordered.
+        Cycle dep = now;
+        for (RegId s : in.srcs)
+            if (s != INVALID_REG)
+                dep = std::max<Cycle>(dep, w.reg_ready[s]);
+        if (in.hasDst())
+            dep = std::max<Cycle>(dep, w.reg_ready[in.dst]);
+        if (dep > now) {
+            w.ready_at = dep;
+            w.last_stall = obs::StallCause::SCOREBOARD;
             if (trace)
-                trace->complete("prefetch", trace_pid, w.id, now,
-                                done - now);
+                trace->complete("stall:scoreboard", trace_pid, w.id,
+                                now, dep - now);
+            return false;
+        }
+
+        if (in.op == Opcode::EXIT) {
+            w.advance();
+            w.issued++;
+            sched.finish(w, *regfile, now);
             return true;
         }
-    }
-    ltrf_assert(!w.atEnd(), "warp %d ran past its trace", w.id);
-
-    const TraceRef &ref = w.trace->refs[w.pc];
-    const Instruction &in = kernel.block(ref.bb).instrs[ref.idx];
-
-    // Scoreboard: all sources ready, destination write ordered.
-    Cycle dep = now;
-    for (RegId s : in.srcs)
-        if (s != INVALID_REG)
-            dep = std::max(dep, w.reg_ready[s]);
-    if (in.hasDst())
-        dep = std::max(dep, w.reg_ready[in.dst]);
-    if (dep > now) {
-        w.ready_at = dep;
-        w.last_stall = obs::StallCause::SCOREBOARD;
-        pipe.dep_stalls++;
-        if (trace)
-            trace->complete("stall:scoreboard", trace_pid, w.id, now,
-                            dep - now);
-        return false;
-    }
-
-    if (in.op == Opcode::EXIT) {
-        w.pc++;
-        w.issued++;
-        sched.finish(w, *regfile, now);
-        return true;
     }
 
     // Structural hazard: need a free operand collector. On a stall,
@@ -183,23 +209,16 @@ Sm::tryIssue(Warp &w, Cycle now)
     // (retries in between would all fail without touching state),
     // but the fast-forward can now skip the stalled stretch instead
     // of polling it.
-    Cycle earliest_free = NEVER;
-    int c = freeCollector(now, earliest_free);
+    int c = freeCollector(now);
     if (c < 0) {
-        pipe.collector_stalls++;
-        w.ready_at = earliest_free;
-        w.last_stall = obs::StallCause::COLLECTOR;
-        if (collect)
-            collector_wait.sample(earliest_free - now);
-        if (trace)
-            trace->complete("stall:collector", trace_pid, w.id, now,
-                            earliest_free - now);
+        collectorStall(w, now);
         return false;
     }
 
+    const Instruction &in = *w.cur;
     Cycle ops_ready = regfile->readOperands(w.id, in, now);
-    collectors[c] = ops_ready;
-    w.pc++;
+    collectors[static_cast<std::size_t>(c)] = ops_ready;
+    w.advance();
     w.issued++;
     if (trace)
         trace->complete("issue", trace_pid, w.id, now, ops_ready - now);
@@ -208,7 +227,7 @@ Sm::tryIssue(Warp &w, Cycle now)
         MemAccessResult res = mem.accessGlobal(id, lineFor(w, in),
                                                isStore(in.op), ops_ready);
         if (isLoad(in.op)) {
-            w.reg_ready[in.dst] = res.done;
+            w.reg_ready[in.dst] = scoreboardCycle(res.done);
             if (!res.l1_hit) {
                 // Long-latency miss: the two-level scheduler swaps
                 // the warp out; the result lands in the MRF.
@@ -220,11 +239,6 @@ Sm::tryIssue(Warp &w, Cycle now)
                 if (trace)
                     trace->complete("memwait", trace_pid, w.id,
                                     ops_ready, res.done - ops_ready);
-                pipe.mem_stall_sum += res.done - ops_ready;
-                pipe.mem_stall_max =
-                        std::max(pipe.mem_stall_max,
-                                 static_cast<std::uint64_t>(res.done -
-                                                            ops_ready));
             } else {
                 regfile->writeResult(w.id, in, res.done, true);
                 w.ready_at = now + 1;
@@ -236,7 +250,7 @@ Sm::tryIssue(Warp &w, Cycle now)
     } else {
         Cycle done = ops_ready + execLatency(in.op);
         if (in.hasDst()) {
-            w.reg_ready[in.dst] = done;
+            w.reg_ready[in.dst] = scoreboardCycle(done);
             regfile->writeResult(w.id, in, done, true);
         }
         w.ready_at = now + 1;
@@ -277,22 +291,20 @@ Sm::accountGap(Cycle now)
             gap * static_cast<std::uint64_t>(config.issue_width);
 }
 
-void
+Cycle
 Sm::step(Cycle now)
 {
+    pipe.steps++;
     if (collect)
         accountGap(now);
 
-    sched.tick(now, *regfile);
+    if (sched.tickDue(now))
+        sched.tick(now, *regfile);
 
     // Snapshot the pool: deactivations mutate it mid-loop. The
     // assignment reuses pool_scratch's capacity, so no allocation.
     pool_scratch = sched.activePool();
     const std::vector<WarpId> &pool = pool_scratch;
-    pipe.stepped_cycles++;
-    pipe.active_warp_sum += pool.size();
-    pipe.ready_sum += static_cast<std::uint64_t>(sched.readyCount());
-    pipe.wait_sum += static_cast<std::uint64_t>(sched.waitCount());
     if (pool.empty()) {
         if (collect) {
             stall_counters[static_cast<int>(
@@ -300,34 +312,58 @@ Sm::step(Cycle now)
                     static_cast<std::uint64_t>(config.issue_width);
             issue_per_cycle.sample(0);
         }
-        return;
+        return addSchedulerEvents(now, NEVER);
     }
+    const int width = config.issue_width;
+    const Cycle soonest = now + 1;
+    Cycle next = NEVER;
     int issued = 0;
     int n = static_cast<int>(pool.size());
-    int start = sched.rrIndex() % n;
+    int start = sched.rrIndex();    // < n: see advanceRr()
     if (collect)
         fail_scratch.clear();
-    for (int k = 0; k < n && issued < config.issue_width; k++) {
+    // One pass: issue in RR order until the slots run out, and fold
+    // every snapshot warp's wake time into the next event. A warp's
+    // state changes only through its own issue attempt, so its wake
+    // time is final once the pass has visited it; warps the attempt
+    // deactivated or finished left the pool and are covered by the
+    // scheduler's terms in addSchedulerEvents().
+    for (int k = 0; k < n; k++) {
         // start + k < 2n, so a conditional subtract replaces the
         // modulo in this per-cycle loop.
         int idx = start + k;
         if (idx >= n)
             idx -= n;
         Warp &w = warps[pool[idx]];
-        if (w.state != WarpState::ACTIVE || w.ready_at > now) {
-            if (collect)
-                fail_scratch.push_back(
-                        w.state == WarpState::ACTIVE
-                                ? w.last_stall
-                                : obs::StallCause::PREFETCH_WAIT);
-            continue;
+        if (issued < width) {
+            if (w.state != WarpState::ACTIVE || w.ready_at > now) {
+                if (collect)
+                    fail_scratch.push_back(
+                            w.state == WarpState::ACTIVE
+                                    ? w.last_stall
+                                    : obs::StallCause::PREFETCH_WAIT);
+            } else if (w.parked && coll_min > now) {
+                // The O(1) re-stall, without the call.
+                collectorStall(w, now);
+                if (collect)
+                    fail_scratch.push_back(w.last_stall);
+            } else if (tryIssue(w, now)) {
+                issued++;
+            } else if (collect) {
+                fail_scratch.push_back(w.last_stall);
+            }
         }
-        if (tryIssue(w, now))
-            issued++;
-        else if (collect)
-            fail_scratch.push_back(w.last_stall);
+        // Selects, not branches: the state mix is unpredictable.
+        bool active = w.state == WarpState::ACTIVE;
+        bool in_pool = active || w.state == WarpState::ACTIVATING;
+        Cycle t = std::max(active ? w.ready_at : w.wait_until, soonest);
+        next = std::min(next, in_pool ? t : NEVER);
+        // Nothing can come sooner than next cycle, and once the
+        // slots are used the rest of the pass would only fold.
+        if (next == soonest && issued == width)
+            break;
     }
-    pipe.issued_sum += static_cast<std::uint64_t>(issued);
+    pipe.issued_slots += static_cast<std::uint64_t>(issued);
     if (issued > 0)
         sched.advanceRr();
     if (collect) {
@@ -335,7 +371,7 @@ Sm::step(Cycle now)
         // Unused slots round-robin over this cycle's failure causes
         // (NO_READY_WARP when every pool warp issued but the pool is
         // narrower than the issue width).
-        int unused = config.issue_width - issued;
+        int unused = width - issued;
         for (int i = 0; i < unused; i++) {
             obs::StallCause c =
                     fail_scratch.empty()
@@ -345,32 +381,27 @@ Sm::step(Cycle now)
             stall_counters[static_cast<int>(c)]++;
         }
     }
+    return addSchedulerEvents(now, next);
 }
 
 Cycle
-Sm::nextEvent(Cycle now) const
+Sm::addSchedulerEvents(Cycle now, Cycle pool_next) const
 {
     // Equivalent to scanning every resident warp, but built from the
-    // scheduler's incremental bookkeeping: the active pool holds
-    // exactly the ACTIVE/ACTIVATING warps, nextTransition() bounds
-    // every ACTIVATING/INACTIVE_WAIT wait_until from below (and the
-    // ACTIVATING ones are already covered exactly by the pool scan),
+    // step's pass over the pool and the scheduler's incremental
+    // bookkeeping: the active pool holds exactly the ACTIVE/
+    // ACTIVATING warps (folded into @p pool_next), nextTransition()
+    // bounds every ACTIVATING/INACTIVE_WAIT wait_until from below
+    // (the ACTIVATING ones are already covered exactly by the pool),
     // and the ready queue holds exactly the INACTIVE_READY warps.
     if (done())
         return NEVER;
-    Cycle e = NEVER;
-    for (WarpId id : sched.activePool()) {
-        const Warp &w = warps[id];
-        Cycle t = w.state == WarpState::ACTIVE ? w.ready_at
-                                               : w.wait_until;
-        e = std::min(e, std::max(t, now + 1));
-    }
+    const Cycle soonest = now + 1;
+    Cycle e = pool_next;
     if (sched.waitCount() > 0)
-        e = std::min(e, std::max(sched.nextTransition(), now + 1));
-    if (sched.readyCount() > 0 &&
-        static_cast<int>(sched.activePool().size()) <
-                config.num_active_warps)
-        e = std::min(e, now + 1);
+        e = std::min(e, std::max(sched.nextTransition(), soonest));
+    if (sched.readyCount() > 0 && sched.poolHasRoom())
+        e = soonest;
     return e;
 }
 
@@ -393,9 +424,9 @@ Sm::finalizeStallStats(Cycle total_cycles)
     // tryIssue() returns true (slot consumed) for triggered
     // PREFETCHes without bumping Warp::issued, so the difference is
     // exactly the slots PREFETCH occupied.
-    ltrf_assert(pipe.issued_sum >= b.instructions,
+    ltrf_assert(pipe.issued_slots >= b.instructions,
                 "issued slots below instruction count");
-    b.prefetch_slots = pipe.issued_sum - b.instructions;
+    b.prefetch_slots = pipe.issued_slots - b.instructions;
     for (int c = 0; c < obs::NUM_LIVE_STALL_CAUSES; c++)
         b.stalls[c] = stall_counters[c].value();
     std::uint64_t used = b.accountedSlots();

@@ -11,6 +11,18 @@
  * latency. Global memory accesses walk the real cache hierarchy;
  * an L1D miss deactivates the warp until the data returns (the
  * latency-hiding the whole paper builds on).
+ *
+ * The per-cycle path is built for event-driven stepping. step() makes
+ * one pass over the active pool: it issues in round-robin order and,
+ * in the same pass, folds every pool warp's wake time into the SM's
+ * next event, which it returns; Gpu::run() steps the SM again only
+ * then. The scheduler is ticked only when a transition or a pool fill
+ * is due. Warps fetch along their trace's block path and park on
+ * collector stalls (see warp.hh). A failed collector search caches
+ * the earliest busy-until and its collector, so while the collectors
+ * stay busy a parked warp re-stalls in O(1), and the first issue
+ * after they free needs no search. The scoreboard is 32-bit, which
+ * is why a run is capped at UINT32_MAX cycles.
  */
 
 #ifndef LTRF_SIM_SM_HH
@@ -42,8 +54,12 @@ class Sm
     Sm(int sm_id, const SimConfig &cfg, const CompiledWorkload &cw,
        MemSystem &mem, int resident_warps);
 
-    /** Advance one cycle at global time @p now. */
-    void step(Cycle now);
+    /**
+     * Advance one cycle at global time @p now. @return the earliest
+     * future cycle at which stepping can make progress (NEVER once
+     * every warp has finished); stepping earlier changes nothing.
+     */
+    Cycle step(Cycle now);
 
     /** @return true once every resident warp has finished. */
     bool
@@ -53,27 +69,28 @@ class Sm
                static_cast<int>(warps.size());
     }
 
-    /** Earliest future cycle at which stepping can make progress. */
-    Cycle nextEvent(Cycle now) const;
-
     /** Dynamic (non-PREFETCH) instructions issued so far. */
     std::uint64_t instructionsIssued() const;
 
     const RegFileSystem &rf() const { return *regfile; }
 
-    /** Pipeline introspection (diagnostics and tests). */
+    /**
+     * Deterministic work counters: what the pipeline did, not what
+     * the modelled GPU did. They do not vary from run to run, so
+     * they measure simulator cost where wall time is too noisy.
+     */
     struct PipeStats
     {
-        std::uint64_t stepped_cycles = 0;  ///< cycles this SM stepped
-        std::uint64_t active_warp_sum = 0; ///< sum of pool sizes
-        std::uint64_t issued_sum = 0;      ///< instructions issued
-        std::uint64_t dep_stalls = 0;      ///< issue blocked on deps
-        std::uint64_t collector_stalls = 0;///< blocked on collectors
-        std::uint64_t deactivations = 0;
-        std::uint64_t ready_sum = 0;       ///< inactive-ready warps
-        std::uint64_t wait_sum = 0;        ///< inactive-waiting warps
-        std::uint64_t mem_stall_sum = 0;   ///< total load-miss latency
-        std::uint64_t mem_stall_max = 0;   ///< worst load-miss latency
+        std::uint64_t steps = 0;           ///< step() calls
+        /** Issue attempts that decoded the head from scratch
+         *  (PREFETCH skip, scoreboard, EXIT checks). */
+        std::uint64_t full_decodes = 0;
+        /** Retries of a parked warp that stalled again in O(1). */
+        std::uint64_t parked_restalls = 0;
+        /** Issue slots used (instructions incl. EXIT, and
+         *  triggered PREFETCHes). */
+        std::uint64_t issued_slots = 0;
+        std::uint64_t deactivations = 0;   ///< long-latency swap-outs
     };
 
     const PipeStats &pipeStats() const { return pipe; }
@@ -97,14 +114,36 @@ class Sm
     const StatGroup &statGroup() const { return stat_root; }
 
   private:
+    /**
+     * The SM's next event after a step at @p now: @p pool_next, the
+     * earliest wake time over the warps still in the pool, combined
+     * with the scheduler's pending transitions and pool fills.
+     */
+    Cycle addSchedulerEvents(Cycle now, Cycle pool_next) const;
+
     /** Try to issue one instruction from @p w; true if a slot used. */
     bool tryIssue(Warp &w, Cycle now);
 
+    /** Every collector is busy: park @p w until the earliest frees. */
+    void
+    collectorStall(Warp &w, Cycle now)
+    {
+        pipe.parked_restalls += w.parked ? 1 : 0;
+        w.parked = true;
+        w.ready_at = coll_min;
+        w.last_stall = obs::StallCause::COLLECTOR;
+        if (collect || trace)
+            observeCollectorStall(w, now);
+    }
+
+    /** collector_wait sample and trace event of a collector stall. */
+    void observeCollectorStall(const Warp &w, Cycle now);
+
     /**
      * Find an operand collector free at @p now, or -1 — in which
-     * case @p earliest_free holds the earliest cycle one frees.
+     * case coll_min holds the earliest cycle one frees.
      */
-    int freeCollector(Cycle now, Cycle &earliest_free) const;
+    int freeCollector(Cycle now);
 
     /** Generate the cache-line address for a memory instruction. */
     std::uint64_t lineFor(Warp &w, const Instruction &in);
@@ -120,6 +159,12 @@ class Sm
     std::vector<Warp> warps;
     TwoLevelScheduler sched;
     std::vector<Cycle> collectors;  ///< busy-until per operand collector
+    /** Lower bound on the collectors' busy-until, exact while it is
+     *  above the current cycle (see freeCollector). */
+    Cycle coll_min = 0;
+    /** The collector holding coll_min after a failed search, until
+     *  an issue takes it; -1 = unknown. */
+    int coll_argmin = -1;
     /** Reused snapshot of the active pool (deactivations mutate the
      *  pool mid-issue); hoisted here so step() never allocates. */
     std::vector<WarpId> pool_scratch;

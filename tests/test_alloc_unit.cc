@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
 #include "core/alloc_unit.hh"
@@ -73,6 +74,33 @@ TEST(AllocUnit, ResetFreesEverything)
     for (int i = 0; i < 4; i++)
         got.insert(au.allocate());
     EXPECT_EQ(got.size(), 4u);
+}
+
+TEST(AllocUnit, RingKeepsDequeOrderAcrossWraparound)
+{
+    // The unused queue is a fixed ring; over many wraps its
+    // allocation order must stay that of a plain FIFO of free ids.
+    AllocUnit au(5);
+    std::deque<int> model = {0, 1, 2, 3, 4};
+    std::deque<int> held;
+    std::uint64_t x = 12345;
+    for (int step = 0; step < 2000; step++) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        bool alloc = held.empty() || (!model.empty() && (x >> 40) % 2);
+        if (alloc) {
+            ASSERT_EQ(au.allocate(), model.front());
+            held.push_back(model.front());
+            model.pop_front();
+        } else {
+            // Release a held id chosen by the generator, not in
+            // allocation order, so the ring's contents get shuffled.
+            std::size_t i = (x >> 20) % held.size();
+            au.release(held[i]);
+            model.push_back(held[i]);
+            held.erase(held.begin() + static_cast<long>(i));
+        }
+        ASSERT_EQ(au.freeCount(), static_cast<int>(model.size()));
+    }
 }
 
 TEST(AllocUnitDeath, ExhaustionPanics)

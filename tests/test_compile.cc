@@ -99,6 +99,22 @@ TEST(Compile, TracesPerWarpAndDeterministic)
         EXPECT_EQ(a.traces[w].real_instrs, b.traces[w].real_instrs);
 }
 
+TEST(Compile, TraceCountSelectsAPrefixOfTheFullSet)
+{
+    // Warp w's trace depends only on (seed, w): asking for fewer
+    // traces (what Gpu does for its resident warps) yields a prefix.
+    SimConfig cfg;
+    cfg.design = RfDesign::LTRF;
+    CompiledWorkload all = compileWorkload(sampleKernel(), cfg, 42);
+    CompiledWorkload some = compileWorkload(sampleKernel(), cfg, 42,
+                                            DEFAULT_MAX_TRACE_INSTRS, 12);
+    ASSERT_EQ(some.traces.size(), 12u);
+    for (size_t w = 0; w < some.traces.size(); w++) {
+        EXPECT_EQ(some.traces[w].path, all.traces[w].path);
+        EXPECT_EQ(some.traces[w].real_instrs, all.traces[w].real_instrs);
+    }
+}
+
 TEST(Compile, DeadOperandsAnnotatedForAllDesigns)
 {
     SimConfig cfg;

@@ -6,37 +6,26 @@
  * fast-forward may only skip cycles at which no SM can make
  * progress, so every counter the simulator reports must be
  * bit-identical whether the global loop jumps to the next event or
- * polls every cycle. This test runs both modes across several
- * workloads and all four benchmarked designs and compares the full
- * SimResult — any divergence means a skipped cycle actually
- * mattered, i.e. an Sm::nextEvent bound is wrong.
+ * polls every cycle. This test runs both modes over the full
+ * simulation matrix (every workload under every design at 1 SM,
+ * tests/sim_matrix.hh) and compares the full SimResult — any
+ * divergence means a skipped cycle actually mattered, i.e. the next
+ * event Sm::step() returned is wrong.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/gpu.hh"
-#include "tech/rf_config.hh"
-#include "workloads/workload.hh"
+#include "sim_matrix.hh"
 
 using namespace ltrf;
 
 namespace
 {
 
-constexpr std::uint64_t SEED = 2018;
-
-const char *const WORKLOADS[] = {"bfs", "btree", "streamcluster"};
-
-const RfDesign DESIGNS[] = {RfDesign::BL, RfDesign::RFC,
-                            RfDesign::LTRF, RfDesign::LTRF_PLUS};
-
 SimConfig
 configFor(RfDesign d, bool skip_ahead)
 {
-    SimConfig cfg;
-    applyRfConfig(cfg, rfConfig(6));
-    cfg.design = d;
-    cfg.num_sms = 2;
+    SimConfig cfg = test::matrixConfig(d);
     cfg.skip_ahead = skip_ahead;
     return cfg;
 }
@@ -64,15 +53,37 @@ expectIdentical(const SimResult &a, const SimResult &b)
 
 TEST(FastForward, BitIdenticalAcrossWorkloadsAndDesigns)
 {
-    for (const char *name : WORKLOADS) {
+    std::vector<SimResult> fast(WorkloadSuite::all().size() *
+                                test::NUM_MATRIX_DESIGNS);
+    std::vector<SimResult> slow(fast.size());
+    test::forEachMatrixCell(
+            [&](const Workload &w, RfDesign d, std::size_t slot) {
+                fast[slot] = simulate(configFor(d, true), w.kernel,
+                                      test::MATRIX_SEED);
+                slow[slot] = simulate(configFor(d, false), w.kernel,
+                                      test::MATRIX_SEED);
+            });
+    for (std::size_t i = 0; i < fast.size(); i++) {
+        SCOPED_TRACE(fast[i].workload + " / " +
+                     rfDesignName(fast[i].design));
+        expectIdentical(fast[i], slow[i]);
+    }
+}
+
+TEST(FastForward, BitIdenticalAcrossSmsSharingMemory)
+{
+    // Two SMs share the memory hierarchy, so one SM's skipped cycles
+    // must not move the other's accesses either.
+    for (const char *name : {"bfs", "btree", "streamcluster"}) {
         const Workload &w = WorkloadSuite::byName(name);
-        for (RfDesign d : DESIGNS) {
+        for (RfDesign d : {RfDesign::BL, RfDesign::RFC, RfDesign::LTRF,
+                           RfDesign::LTRF_PLUS}) {
             SCOPED_TRACE(std::string(name) + " / " + rfDesignName(d));
-            SimResult fast =
-                    simulate(configFor(d, true), w.kernel, SEED);
-            SimResult slow =
-                    simulate(configFor(d, false), w.kernel, SEED);
-            expectIdentical(fast, slow);
+            SimConfig fast = configFor(d, true);
+            SimConfig slow = configFor(d, false);
+            fast.num_sms = slow.num_sms = 2;
+            expectIdentical(simulate(fast, w.kernel, test::MATRIX_SEED),
+                            simulate(slow, w.kernel, test::MATRIX_SEED));
         }
     }
 }
@@ -86,7 +97,7 @@ TEST(FastForward, SkipAheadIsActuallyExercised)
     // that silently drops the flag fails loudly.
     const Workload &w = WorkloadSuite::byName("bfs");
     SimResult r = simulate(configFor(RfDesign::LTRF, true), w.kernel,
-                           SEED);
+                           test::MATRIX_SEED);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.instructions, 0u);
 }

@@ -228,3 +228,24 @@ INSTANTIATE_TEST_SUITE_P(
         Sweep, DesignWorkloadProperty,
         ::testing::Combine(::testing::Range(0, 7),
                            ::testing::Values(1, 3, 8, 12)));
+
+TEST(Gpu, TracesOnlyForResidentWarps)
+{
+    // Gpu generates traces for the warps its SMs hold, not for every
+    // warp context the SM could host.
+    Kernel k = computeKernel();
+    SimConfig cfg = smallConfig(RfDesign::BL);
+    Gpu gpu(cfg, k, 1);
+    EXPECT_EQ(gpu.compiledWorkload().traces.size(),
+              static_cast<size_t>(Gpu::residentWarps(cfg, k)));
+    EXPECT_LT(gpu.compiledWorkload().traces.size(),
+              static_cast<size_t>(cfg.max_warps_per_sm));
+}
+
+TEST(GpuDeathTest, MaxCyclesBeyondTheScoreboardPanics)
+{
+    // The scoreboard holds 32-bit cycles, so a run may not be allowed
+    // to go past UINT32_MAX.
+    Gpu gpu(smallConfig(RfDesign::BL), computeKernel(), 1);
+    EXPECT_DEATH(gpu.run(MAX_SCOREBOARD_CYCLE + 1), "32-bit scoreboard");
+}

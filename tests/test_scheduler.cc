@@ -28,7 +28,7 @@ struct Rig
         arena = std::make_unique<WarpStateArena>(num_warps,
                                                  kernel.num_regs, 1);
         for (int i = 0; i < num_warps; i++)
-            warps.emplace_back(i, &cw.traces[i], *arena);
+            warps.emplace_back(i, cw.traces[i], cw.kernel(), *arena);
         sched = std::make_unique<TwoLevelScheduler>(active_slots, warps);
     }
 

@@ -8,6 +8,8 @@
 
 #include "isa/kernel_builder.hh"
 #include "sim/gpu.hh"
+#include "tech/rf_config.hh"
+#include "workloads/workload.hh"
 
 using namespace ltrf;
 
@@ -161,4 +163,33 @@ TEST(Sm, PrefetchBlocksOnlyTheIssuingWarp)
     ideal.mrf_latency_mult = 6.0;
     SimResult ri = simulate(ideal, k, 1);
     EXPECT_GT(r.ipc, ri.ipc * 0.75);
+}
+
+TEST(Sm, ParkedCollectorStallsCutFullDecodes)
+{
+    // backprop under BL on the slow configuration #6 register file is
+    // collector-bound: most issue attempts find every operand
+    // collector busy. Re-decoding the head instruction on every
+    // attempt cost 6.93 full decodes per issued slot here; a warp
+    // parked on its collector stall re-checks only the collectors, so
+    // full decodes stay near one per slot.
+    SimConfig cfg = oneSm();
+    applyRfConfig(cfg, rfConfig(6));
+    Gpu gpu(cfg, WorkloadSuite::byName("backprop").kernel, 2018);
+    SimResult r = gpu.run();
+    const Sm::PipeStats &p = gpu.sm(0).pipeStats();
+    ASSERT_GT(p.issued_slots, 0u);
+    const double decodes_per_slot = static_cast<double>(p.full_decodes) /
+                                    static_cast<double>(p.issued_slots);
+    EXPECT_LT(decodes_per_slot, 6.93);
+    EXPECT_LT(decodes_per_slot, 1.1);
+    EXPECT_GT(p.parked_restalls, p.issued_slots);
+
+    // The counters account for every step and slot: one step per
+    // stepped cycle, and the used slots are the instructions plus
+    // the triggered PREFETCHes (none under BL).
+    EXPECT_GE(p.steps, 1u);
+    EXPECT_LE(p.steps, r.cycles);
+    EXPECT_EQ(p.issued_slots, r.instructions);
+    EXPECT_GT(p.deactivations, 0u);
 }

@@ -40,6 +40,34 @@ TEST(TraceGen, LoopTripCountHonored)
     EXPECT_EQ(iadds, 7);
 }
 
+TEST(TraceGen, BlockPathFlattensToRefs)
+{
+    // The block path the simulator fetches along is the instruction
+    // stream `refs` records: each visit runs its block in full.
+    KernelBuilder b("path");
+    b.mov(0);
+    b.beginLoop(5);
+    b.beginIf(0.5, 0);
+    b.iadd(1, 0, 1);
+    b.beginElse();
+    b.iadd(2, 0, 1);
+    b.endIf();
+    b.endLoop();
+    Kernel k = b.build();
+    WarpTrace t = generateTrace(k, 3);
+    std::vector<TraceRef> flat;
+    for (BlockId bb : t.path) {
+        ASSERT_FALSE(k.block(bb).instrs.empty());
+        for (std::uint32_t i = 0; i < k.block(bb).instrs.size(); i++)
+            flat.push_back({bb, i});
+    }
+    ASSERT_EQ(flat.size(), t.refs.size());
+    for (size_t i = 0; i < flat.size(); i++) {
+        EXPECT_EQ(flat[i].bb, t.refs[i].bb);
+        EXPECT_EQ(flat[i].idx, t.refs[i].idx);
+    }
+}
+
 TEST(TraceGen, DeterministicPerSeed)
 {
     KernelBuilder b("cond");
