@@ -7,7 +7,8 @@
  * pipelined: an access occupies its bank for one cycle and returns
  * data after the (short) cache latency. Which register lives in
  * which bank is the Warp Control Block's business; this class only
- * models bank occupancy and latency.
+ * models bank occupancy and latency. Writes use separate ports and
+ * are counted by the register file designs (RfStats).
  */
 
 #ifndef LTRF_CORE_REG_CACHE_HH
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ltrf
@@ -44,32 +44,15 @@ class RegCache
                     bank);
         Cycle &busy = banks[static_cast<std::size_t>(bank)];
         Cycle start = std::max(now, busy);
-        if (start > now)
-            stat_conflicts += start - now;
         busy = start + 1;   // pipelined: one-cycle bank occupancy
-        stat_accesses++;
         return start + static_cast<Cycle>(access_latency);
     }
 
-    /**
-     * Record a result write retiring at a future completion time;
-     * counts the access without occupying the bank (write ports are
-     * separate from the read path being scheduled now).
-     */
-    void recordWrite() { stat_accesses++; }
-
     int numBanks() const { return static_cast<int>(banks.size()); }
-
-    std::uint64_t accesses() const { return stat_accesses.value(); }
-    std::uint64_t conflictCycles() const { return stat_conflicts.value(); }
 
   private:
     std::vector<Cycle> banks;   ///< next-free cycle per bank
     int access_latency;
-
-    StatGroup stat_group;
-    Counter stat_accesses;
-    Counter stat_conflicts;
 };
 
 } // namespace ltrf

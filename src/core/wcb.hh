@@ -26,29 +26,42 @@ class Wcb
   public:
     Wcb() { reset(); }
 
-    /** Map register @p r to cache bank @p bank and mark it resident. */
+    /**
+     * Map the registers of @p regs (none resident) to @p banks, the
+     * i-th register in ascending order to banks[i].
+     */
     void
-    setEntry(RegId r, int bank)
+    setEntries(const RegBitVec &regs, const int *banks)
     {
-        bank_of[r] = static_cast<std::int8_t>(bank);
-        resident_set.set(r);
+        ltrf_assert(!resident_set.intersects(regs),
+                    "mapping an already resident register");
+        regs.forEach([&](RegId r) {
+            bank_of[r] = static_cast<std::uint8_t>(*banks++);
+        });
+        resident_set |= regs;
     }
 
-    /** Drop register @p r's mapping. @return the bank it occupied. */
+    /**
+     * Drop the mappings of @p regs (all resident), writing the bank
+     * of the i-th register in ascending order to @p banks[i].
+     * @return the number of registers dropped.
+     */
     int
-    clearEntry(RegId r)
+    clearEntries(const RegBitVec &regs, int *banks)
     {
-        ltrf_assert(resident_set.test(r), "clearing non-resident r%d", r);
-        resident_set.clear(r);
-        return bank_of[r];
+        ltrf_assert(resident_set.contains(regs),
+                    "clearing a non-resident register");
+        int n = 0;
+        regs.forEach([&](RegId r) { banks[n++] = bank_of[r]; });
+        resident_set -= regs;
+        return n;
     }
 
-    /** @return the cache bank holding register @p r. */
+    /** @return the bank holding register @p r, or -1 if not resident. */
     int
-    bank(RegId r) const
+    lookup(RegId r) const
     {
-        ltrf_assert(resident_set.test(r), "lookup of non-resident r%d", r);
-        return bank_of[r];
+        return resident_set.test(r) ? int{bank_of[r]} : -1;
     }
 
     bool resident(RegId r) const { return resident_set.test(r); }
@@ -75,7 +88,7 @@ class Wcb
     void
     reset()
     {
-        bank_of.fill(-1);
+        bank_of.fill(0);    // meaningless until resident
         resident_set.reset();
         working_set.reset();
         liveness.reset();
@@ -99,7 +112,9 @@ class Wcb
     // the valid bits first, a low register's bit and bank share a
     // cache line.
     RegBitVec resident_set;
-    std::array<std::int8_t, MAX_ARCH_REGS> bank_of;
+    // Unsigned: a bank id reaches 255 with 256 registers per interval
+    // (the most SimConfig::validate admits).
+    std::array<std::uint8_t, MAX_ARCH_REGS> bank_of;
     RegBitVec working_set;
     RegBitVec liveness;
     int warp_offset = -1;

@@ -46,7 +46,7 @@ makeWarps(const CompiledWorkload &cw, int resident_warps,
 Sm::Sm(int sm_id, const SimConfig &cfg, const CompiledWorkload &cw,
        MemSystem &mem_, int resident_warps)
     : id(sm_id), config(cfg), compiled(cw), mem(mem_),
-      regfile(makeRegFileSystem(cfg, cw, resident_warps)),
+      regfile(cfg, cw, resident_warps),
       arena(resident_warps, cw.kernel().num_regs,
             static_cast<int>(cw.kernel().mem_streams.size())),
       warps(makeWarps(cw, resident_warps, arena)),
@@ -76,7 +76,7 @@ Sm::Sm(int sm_id, const SimConfig &cfg, const CompiledWorkload &cw,
     stat_root.addDist("collector_wait", &collector_wait);
     stat_root.addDist("mem_stall", &mem_stall);
     stat_root.addChild(&stall_group);
-    regfile->registerStats(rf_group);
+    regfile.registerStats(rf_group);
     rf_group.add("bank_conflict_cycles", &stat_bank_conflicts);
     stat_root.addChild(&rf_group);
     sched.registerStats(sched_group);
@@ -165,7 +165,7 @@ Sm::tryIssue(Warp &w, Cycle now)
         // the warp until the working set arrives and consumes the
         // slot.
         while (!w.atEnd() && w.cur->op == Opcode::PREFETCH) {
-            Cycle done = regfile->prefetch(w.id, w.bb, *w.cur, now);
+            Cycle done = regfile.prefetch(w.id, w.bb, *w.cur, now);
             w.advance();
             if (done > now) {
                 w.ready_at = done;
@@ -180,12 +180,13 @@ Sm::tryIssue(Warp &w, Cycle now)
 
         const Instruction &in = *w.cur;
         // Scoreboard: all sources ready, destination write ordered.
-        Cycle dep = now;
-        for (RegId s : in.srcs)
-            if (s != INVALID_REG)
-                dep = std::max<Cycle>(dep, w.reg_ready[s]);
-        if (in.hasDst())
-            dep = std::max<Cycle>(dep, w.reg_ready[in.dst]);
+        // An absent operand (INVALID_REG) reads the row's sentinel
+        // slot, which is always 0 (see WarpStateArena).
+        const ScoreboardCycle *sb = w.reg_ready;
+        const ScoreboardCycle ops =
+                std::max(std::max(sb[in.srcs[0]], sb[in.srcs[1]]),
+                         std::max(sb[in.srcs[2]], sb[in.dst]));
+        const Cycle dep = std::max<Cycle>(now, ops);
         if (dep > now) {
             w.ready_at = dep;
             w.last_stall = obs::StallCause::SCOREBOARD;
@@ -198,7 +199,7 @@ Sm::tryIssue(Warp &w, Cycle now)
         if (in.op == Opcode::EXIT) {
             w.advance();
             w.issued++;
-            sched.finish(w, *regfile, now);
+            sched.finish(w, regfile, now);
             return true;
         }
     }
@@ -216,7 +217,7 @@ Sm::tryIssue(Warp &w, Cycle now)
     }
 
     const Instruction &in = *w.cur;
-    Cycle ops_ready = regfile->readOperands(w.id, in, now);
+    Cycle ops_ready = regfile.readOperands(w.id, in, now);
     collectors[static_cast<std::size_t>(c)] = ops_ready;
     w.advance();
     w.issued++;
@@ -231,8 +232,8 @@ Sm::tryIssue(Warp &w, Cycle now)
             if (!res.l1_hit) {
                 // Long-latency miss: the two-level scheduler swaps
                 // the warp out; the result lands in the MRF.
-                regfile->writeResult(w.id, in, res.done, false);
-                sched.deactivate(w, res.done, *regfile, now);
+                regfile.writeResult(w.id, in, res.done, false);
+                sched.deactivate(w, res.done, regfile, now);
                 pipe.deactivations++;
                 if (collect)
                     mem_stall.sample(res.done - ops_ready);
@@ -240,7 +241,7 @@ Sm::tryIssue(Warp &w, Cycle now)
                     trace->complete("memwait", trace_pid, w.id,
                                     ops_ready, res.done - ops_ready);
             } else {
-                regfile->writeResult(w.id, in, res.done, true);
+                regfile.writeResult(w.id, in, res.done, true);
                 w.ready_at = now + 1;
             }
         } else {
@@ -251,7 +252,7 @@ Sm::tryIssue(Warp &w, Cycle now)
         Cycle done = ops_ready + execLatency(in.op);
         if (in.hasDst()) {
             w.reg_ready[in.dst] = scoreboardCycle(done);
-            regfile->writeResult(w.id, in, done, true);
+            regfile.writeResult(w.id, in, done, true);
         }
         w.ready_at = now + 1;
     }
@@ -299,7 +300,7 @@ Sm::step(Cycle now)
         accountGap(now);
 
     if (sched.tickDue(now))
-        sched.tick(now, *regfile);
+        sched.tick(now, regfile);
 
     // Snapshot the pool: deactivations mutate it mid-loop. The
     // assignment reuses pool_scratch's capacity, so no allocation.
@@ -440,7 +441,7 @@ Sm::finalizeStallStats(Cycle total_cycles)
     std::uint64_t drain = b.issue_slots - used;
     b.stalls[static_cast<int>(obs::StallCause::DRAIN)] = drain;
     stall_counters[static_cast<int>(obs::StallCause::DRAIN)] += drain;
-    b.bank_conflict_cycles = regfile->bankConflictCycles();
+    b.bank_conflict_cycles = regfile.bankConflictCycles();
 
     // Backfill the derived counters so the flattened tree is a
     // complete account too.

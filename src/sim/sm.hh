@@ -28,7 +28,6 @@
 #ifndef LTRF_SIM_SM_HH
 #define LTRF_SIM_SM_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/regfile_system.hh"
@@ -72,7 +71,10 @@ class Sm
     /** Dynamic (non-PREFETCH) instructions issued so far. */
     std::uint64_t instructionsIssued() const;
 
-    const RegFileSystem &rf() const { return *regfile; }
+    const RegFileSystem &rf() const { return regfile; }
+
+    /** The resident warps, in warp-id order. */
+    const std::vector<Warp> &residentWarps() const { return warps; }
 
     /**
      * Deterministic work counters: what the pipeline did, not what
@@ -152,7 +154,7 @@ class Sm
     const SimConfig &config;
     const CompiledWorkload &compiled;
     MemSystem &mem;
-    std::unique_ptr<RegFileSystem> regfile;
+    RegFileSystem regfile;
     /** SoA backing store for all warps' scoreboard/stream state;
      *  must be constructed before (and outlive) `warps`. */
     WarpStateArena arena;

@@ -56,15 +56,20 @@ scoreboardCycle(Cycle c)
  * scoreboard (reg_ready) and per-stream access counters. Owned by
  * the SM and constructed before its warps; Warp holds raw pointers
  * into it, so the arena must not move or resize while warps live.
+ *
+ * Each scoreboard row starts with one sentinel slot before register
+ * 0, so reg_ready[INVALID_REG] (index -1) is a valid read that always
+ * yields 0: the issue check reads all four operand slots without
+ * testing for absent operands. Nothing may write the sentinel; only
+ * instructions with a destination write the scoreboard.
  */
 class WarpStateArena
 {
   public:
     WarpStateArena(int num_warps, int num_regs, int num_streams)
-        : num_regs_(num_regs), num_streams_(num_streams),
-          reg_ready_(static_cast<std::size_t>(num_warps) *
-                             static_cast<std::size_t>(num_regs),
-                     0),
+        : row_(static_cast<std::size_t>(num_regs) + 1),
+          num_streams_(num_streams),
+          reg_ready_(static_cast<std::size_t>(num_warps) * row_, 0),
           stream_pos_(static_cast<std::size_t>(num_warps) *
                               static_cast<std::size_t>(num_streams),
                       0)
@@ -74,9 +79,8 @@ class WarpStateArena
     ScoreboardCycle *
     regReady(WarpId w)
     {
-        return reg_ready_.data() +
-               static_cast<std::size_t>(w) *
-                       static_cast<std::size_t>(num_regs_);
+        static_assert(INVALID_REG == -1, "the sentinel sits at index -1");
+        return reg_ready_.data() + static_cast<std::size_t>(w) * row_ + 1;
     }
 
     /** Warp @p w's per-memory-stream access counters. */
@@ -89,7 +93,7 @@ class WarpStateArena
     }
 
   private:
-    int num_regs_;
+    std::size_t row_;   ///< scoreboard row: sentinel + num_regs slots
     int num_streams_;
     std::vector<ScoreboardCycle> reg_ready_;
     std::vector<std::uint32_t> stream_pos_;
@@ -137,7 +141,8 @@ struct Warp
     /** One past the last instruction of the head's block. */
     const Instruction *block_end = nullptr;
     /** Scoreboard: cycle each architectural register's value lands
-     *  (points into the SM's WarpStateArena). */
+     *  (points into the SM's WarpStateArena; index INVALID_REG is
+     *  the row's always-zero sentinel). */
     ScoreboardCycle *reg_ready;
     /** Per memory stream access counter (address generation). */
     std::uint32_t *stream_pos;

@@ -1,15 +1,47 @@
 /**
  * @file
  * Tests for the banked register file timing models (MainRegFile and
- * RegCache).
+ * RegCache). The components keep no access counters of their own:
+ * the designs count every access in RfStats, so the access-count
+ * checks drive a design through makeRegFileSystem.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/main_regfile.hh"
 #include "core/reg_cache.hh"
+#include "core/regfile_system.hh"
+#include "isa/kernel_builder.hh"
 
 using namespace ltrf;
+
+namespace
+{
+
+/** One-interval loop kernel compiled for @p design, and its RF. */
+struct Rig
+{
+    explicit Rig(RfDesign design)
+    {
+        KernelBuilder b("k");
+        b.mov(0).mov(1);
+        b.beginLoop(4);
+        b.ffma(2, 0, 1, 2);
+        b.endLoop();
+        b.store(2, 0, 0);
+        cfg.num_sms = 1;
+        cfg.design = design;
+        cfg.validate();
+        cw = compileWorkload(b.build(), cfg, 1);
+        rf = makeRegFileSystem(cfg, cw, 4);
+    }
+
+    SimConfig cfg;
+    CompiledWorkload cw;
+    std::unique_ptr<RegFileSystem> rf;
+};
+
+} // namespace
 
 TEST(MainRegFile, LatencyAndPipelining)
 {
@@ -20,7 +52,7 @@ TEST(MainRegFile, LatencyAndPipelining)
     EXPECT_EQ(mrf.access(0, 1, 100), 110u);
     // Same bank next cycle: pipelined, one new access per cycle.
     EXPECT_EQ(mrf.access(0, 16, 101), 111u);
-    EXPECT_EQ(mrf.accesses(), 3u);
+    EXPECT_EQ(mrf.conflictCycles(), 0u);
 }
 
 TEST(MainRegFile, SameCycleBankConflictSerializes)
@@ -44,14 +76,43 @@ TEST(MainRegFile, BankInterleavingByWarpAndReg)
     EXPECT_EQ(mrf.bankOf(5, 11), 0);
 }
 
-TEST(MainRegFile, RecordWriteCountsWithoutBlocking)
+TEST(MainRegFile, FastmodBankOfMatchesModulo)
 {
-    MainRegFile mrf(16, 8);
-    mrf.recordWrite(0, 0);
-    EXPECT_EQ(mrf.accesses(), 1u);
-    // The write did not occupy the bank: a read at cycle 0 is
-    // unaffected.
-    EXPECT_EQ(mrf.access(0, 0, 0), 8u);
+    // bankOf computes (w + r) % banks without a division; it must
+    // agree with the plain remainder for every bank count, not only
+    // for powers of two.
+    for (int banks = 1; banks <= 1024; banks++) {
+        MainRegFile mrf(banks, 1);
+        for (WarpId w = 0; w < 64; w++) {
+            for (int r = 0; r < MAX_ARCH_REGS; r++) {
+                const int want = (w + r) % banks;
+                const int got = mrf.bankOf(w, static_cast<RegId>(r));
+                if (got != want) {
+                    ADD_FAILURE() << "banks " << banks << " w " << w
+                                  << " r " << r << ": " << got
+                                  << " != " << want;
+                    return;
+                }
+            }
+        }
+    }
+}
+
+TEST(MainRegFile, ResultWriteCountsWithoutBlocking)
+{
+    // BL writes every result to the MRF: the write is counted for
+    // the power model but does not occupy the bank, so a read of the
+    // same bank at the same cycle is unaffected.
+    Rig rig(RfDesign::BL);
+    Instruction def = Instruction::alu(Opcode::MOV, 0);
+    rig.rf->writeResult(0, def, 0, true);
+    EXPECT_EQ(rig.rf->rfStats().main_accesses.value(), 1u);
+    Instruction use = Instruction::alu(Opcode::MOV, 1, 0);
+    EXPECT_EQ(rig.rf->readOperands(0, use, 0),
+              static_cast<Cycle>(rig.cfg.mrfLatency() +
+                                 rig.cfg.operand_xbar_latency));
+    EXPECT_EQ(rig.rf->rfStats().main_accesses.value(), 2u);
+    EXPECT_EQ(rig.rf->bankConflictCycles(), 0u);
 }
 
 TEST(RegCache, FastPipelinedAccess)
@@ -68,10 +129,25 @@ TEST(RegCache, FastPipelinedAccess)
 
 TEST(RegCache, AccessCounting)
 {
-    RegCache cache(8, 1);
-    cache.access(0, 0);
-    cache.recordWrite();
-    EXPECT_EQ(cache.accesses(), 2u);
+    // Under LTRF a read of a resident register and a result write
+    // each count one cache access; the write does not occupy the
+    // bank, so the next read of it is not delayed.
+    Rig rig(RfDesign::LTRF);
+    rig.rf->activate(0, 0);
+    BlockId header = rig.cw.analysis.intervals[0].header;
+    const Instruction &pf =
+            rig.cw.analysis.kernel.block(header).instrs.front();
+    Cycle t = rig.rf->prefetch(0, header, pf, 0);
+    const std::uint64_t before = rig.rf->rfStats().cache_accesses.value();
+
+    Instruction in = Instruction::alu(Opcode::MOV, 2, 0);
+    const Cycle lat = static_cast<Cycle>(rig.cfg.wcb_latency +
+                                         rig.cfg.cache_latency +
+                                         rig.cfg.operand_xbar_latency);
+    EXPECT_EQ(rig.rf->readOperands(0, in, t), t + lat);
+    rig.rf->writeResult(0, in, t + 5, true);
+    EXPECT_EQ(rig.rf->rfStats().cache_accesses.value(), before + 2);
+    EXPECT_EQ(rig.rf->readOperands(0, in, t + 1), t + 1 + lat);
 }
 
 TEST(RegCacheDeath, BadBankPanics)

@@ -193,3 +193,24 @@ TEST(Sm, ParkedCollectorStallsCutFullDecodes)
     EXPECT_EQ(p.issued_slots, r.instructions);
     EXPECT_GT(p.deactivations, 0u);
 }
+
+TEST(Sm, ScoreboardSentinelStaysZero)
+{
+    // The issue check reads reg_ready[INVALID_REG] for absent
+    // operands: a sentinel slot before each scoreboard row that must
+    // read 0 for the whole run, so nothing may ever write it.
+    for (const char *name : {"bfs", "nw"}) {
+        for (RfDesign d : {RfDesign::BL, RfDesign::LTRF_PLUS}) {
+            Gpu gpu(oneSm(d), WorkloadSuite::byName(name).kernel, 2018);
+            SimResult r = gpu.run();
+            ASSERT_GT(r.instructions, 0u);
+            const std::vector<Warp> &warps = gpu.sm(0).residentWarps();
+            ASSERT_FALSE(warps.empty());
+            for (const Warp &w : warps) {
+                EXPECT_TRUE(w.finished());
+                EXPECT_EQ(w.reg_ready[INVALID_REG], 0u)
+                        << name << " warp " << w.id;
+            }
+        }
+    }
+}

@@ -21,22 +21,60 @@ TEST(Wcb, EntryLifecycle)
 {
     Wcb wcb;
     EXPECT_FALSE(wcb.resident(5));
-    wcb.setEntry(5, 3);
+    EXPECT_EQ(wcb.lookup(5), -1);
+    const int bank = 3;
+    wcb.setEntries(RegBitVec{5}, &bank);
     EXPECT_TRUE(wcb.resident(5));
-    EXPECT_EQ(wcb.bank(5), 3);
-    EXPECT_EQ(wcb.clearEntry(5), 3);
+    EXPECT_EQ(wcb.lookup(5), 3);
+    int freed = -1;
+    EXPECT_EQ(wcb.clearEntries(RegBitVec{5}, &freed), 1);
+    EXPECT_EQ(freed, 3);
     EXPECT_FALSE(wcb.resident(5));
+    EXPECT_EQ(wcb.lookup(5), -1);
+}
+
+TEST(Wcb, HighBankIdsRoundTrip)
+{
+    // 256 registers per interval (the most SimConfig admits) hand out
+    // bank ids up to 255; a signed 8-bit table wrapped them negative.
+    Wcb wcb;
+    const int banks[] = {200, 255};
+    wcb.setEntries(RegBitVec{7, 8}, banks);
+    EXPECT_EQ(wcb.lookup(7), 200);
+    EXPECT_EQ(wcb.lookup(8), 255);
+    int freed[2] = {};
+    EXPECT_EQ(wcb.clearEntries(RegBitVec{7, 8}, freed), 2);
+    EXPECT_EQ(freed[0], 200);
+    EXPECT_EQ(freed[1], 255);
+}
+
+TEST(Wcb, BulkEntriesWalkAscendingRegisters)
+{
+    // setEntries/clearEntries pair banks with registers in ascending
+    // register order, the order a FIFO bank allocator hands them out.
+    Wcb wcb;
+    const int banks[] = {198, 199, 200};
+    wcb.setEntries(RegBitVec{200, 3, 70}, banks);
+    EXPECT_EQ(wcb.residentSet(), (RegBitVec{3, 70, 200}));
+    EXPECT_EQ(wcb.lookup(3), 198);
+    EXPECT_EQ(wcb.lookup(70), 199);
+    EXPECT_EQ(wcb.lookup(200), 200);
+    int freed[MAX_ARCH_REGS];
+    EXPECT_EQ(wcb.clearEntries(RegBitVec{200, 3}, freed), 2);
+    EXPECT_EQ(freed[0], 198);
+    EXPECT_EQ(freed[1], 200);
+    EXPECT_EQ(wcb.residentSet(), RegBitVec{70});
 }
 
 TEST(Wcb, ResidentSetTracksEntries)
 {
     Wcb wcb;
-    wcb.setEntry(0, 0);
-    wcb.setEntry(100, 7);
-    wcb.setEntry(255, 15);
+    const int banks[] = {0, 7, 15};
+    wcb.setEntries(RegBitVec{0, 100, 255}, banks);
     EXPECT_EQ(wcb.residentSet().count(), 3);
     EXPECT_TRUE(wcb.residentSet().test(100));
-    wcb.clearEntry(100);
+    int freed;
+    wcb.clearEntries(RegBitVec{100}, &freed);
     EXPECT_EQ(wcb.residentSet().count(), 2);
 }
 
@@ -64,7 +102,8 @@ TEST(Wcb, WorkingSetVector)
 TEST(Wcb, ResetClearsEverything)
 {
     Wcb wcb;
-    wcb.setEntry(7, 2);
+    const int bank = 2;
+    wcb.setEntries(RegBitVec{7}, &bank);
     wcb.markLive(7);
     wcb.setWarpOffset(5);
     wcb.reset();
@@ -74,9 +113,14 @@ TEST(Wcb, ResetClearsEverything)
     EXPECT_TRUE(wcb.workingSet().empty());
 }
 
-TEST(WcbDeath, LookupOfNonResidentPanics)
+TEST(WcbDeath, ClearingNonResidentOrRemappingPanics)
 {
+    // A non-resident register has no bank to free, and a resident one
+    // would leak its bank if mapped again.
     Wcb wcb;
-    EXPECT_DEATH(wcb.bank(3), "non-resident");
-    EXPECT_DEATH(wcb.clearEntry(3), "non-resident");
+    int freed;
+    EXPECT_DEATH(wcb.clearEntries(RegBitVec{3}, &freed), "non-resident");
+    const int bank = 1;
+    wcb.setEntries(RegBitVec{3}, &bank);
+    EXPECT_DEATH(wcb.setEntries(RegBitVec{3}, &bank), "already resident");
 }
