@@ -3,7 +3,8 @@
  * Google-benchmark microbenchmarks for the warm read path of the
  * persistent cell store: CellStore::load over a filled 81-entry store
  * (the cell count of a 9-workload, 8-point DSE grid plus its
- * baselines), and the JSON parse of one entry on its own.
+ * baselines), and, on one entry's text alone, the store's entry
+ * reader beside a JSON DOM parse of the same bytes.
  */
 
 #include <benchmark/benchmark.h>
@@ -114,17 +115,46 @@ BM_CellStoreLoadWarm(benchmark::State &state)
 }
 BENCHMARK(BM_CellStoreLoadWarm);
 
+namespace
+{
+
+/** The text of @p fs's first entry. */
+std::string
+firstEntryText(const FilledStore &fs)
+{
+    std::ifstream in(
+            fs.store.entryPath(fs.cells[0].first, fs.cells[0].second));
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+} // namespace
+
+static void
+BM_CellEntryRead(benchmark::State &state)
+{
+    FilledStore fs;
+    const std::string text = firstEntryText(fs);
+    const auto &[key, workload] = fs.cells[0];
+    for (auto _ : state) {
+        SimResult r;
+        const char *why = fs.store.parseEntry(text, key, workload, r);
+        if (why) {
+            state.SkipWithError(why);
+            break;
+        }
+        benchmark::DoNotOptimize(r.ipc);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+            text.size() * state.iterations()));
+}
+BENCHMARK(BM_CellEntryRead);
+
 static void
 BM_JsonParseCellEntry(benchmark::State &state)
 {
     FilledStore fs;
-    std::string text;
-    {
-        std::ifstream in(fs.store.entryPath(fs.cells[0].first,
-                                            fs.cells[0].second));
-        text.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
+    const std::string text = firstEntryText(fs);
     for (auto _ : state) {
         harness::Json j;
         const bool ok = harness::Json::tryParse(text, j);

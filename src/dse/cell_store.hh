@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/stats.hh"
 #include "sim/gpu.hh"
@@ -74,6 +75,10 @@ class CellStore
      */
     CellStore(std::string dir, std::string context,
               std::string version = simVersionHash());
+    ~CellStore();
+
+    CellStore(const CellStore &) = delete;
+    CellStore &operator=(const CellStore &) = delete;
 
     /**
      * Look the (sim_key, workload) cell up. On a hit, @p out carries
@@ -87,6 +92,18 @@ class CellStore
      */
     bool load(const std::string &sim_key, const std::string &workload,
               SimResult &out);
+
+    /**
+     * Check and decode the text of the entry addressed by (@p
+     * sim_key, @p workload) in one pass, without building a JSON
+     * document. On a hit @p out carries the result and nullptr
+     * returns; otherwise the reason load() rejects the entry with,
+     * and @p out is untouched.
+     */
+    const char *parseEntry(std::string_view text,
+                           const std::string &sim_key,
+                           const std::string &workload,
+                           SimResult &out) const;
 
     /**
      * Persist @p r for the (sim_key, workload) cell. Write errors
@@ -114,9 +131,21 @@ class CellStore
     const StatGroup &stats() const { return group; }
 
   private:
+    /** An entry file name: 32 hex digits, ".json" and a NUL. */
+    static constexpr std::size_t NAME_SIZE = 38;
+
+    void entryName(const std::string &sim_key,
+                   const std::string &workload,
+                   char (&name)[NAME_SIZE]) const;
+
     std::string root;
+    /** root, opened once: load() and store() address entries
+     *  relative to it, so both always use the same directory. */
+    int dir_fd;
     std::string context;
     std::string version;
+    /** Both address streams with version and context hashed in. */
+    std::uint64_t prefix[2];
 
     mutable std::mutex mu;    ///< guards the counters
     Counter hits_, misses_, stores_, errors_;

@@ -122,6 +122,13 @@ class Evaluator
         bool done = false;
     };
 
+    struct CacheRow
+    {
+        /** One slot per suite workload; sized once at creation so
+         *  cell addresses stay stable for in-flight tasks. */
+        std::vector<Cell> cells;
+    };
+
     /**
      * Points admitted to the pipeline together: every missing cell
      * has been submitted; collect() folds once they land. Cells
@@ -134,6 +141,8 @@ class Evaluator
         std::vector<DesignPoint> points;
         std::vector<std::size_t> wsel;
         std::vector<const Cell *> cells;
+        /** Each point's cache row, in points order. */
+        std::vector<const CacheRow *> rows;
     };
 
     /**
@@ -155,9 +164,11 @@ class Evaluator
         if (t.points.empty())
             return t;
         ensureBaselines();
+        t.rows.reserve(t.points.size());
         for (const DesignPoint &p : t.points) {
             SimConfig cfg = configFor(p, num_sms);
-            CacheRow &row = rowFor(simKey(cfg));
+            auto &[key, row] = *rowFor(simKey(cfg));
+            t.rows.push_back(&row);
             for (std::size_t w : t.wsel) {
                 Cell &cell = row.cells[w];
                 t.cells.push_back(&cell);
@@ -167,7 +178,7 @@ class Evaluator
                 }
                 cell.claimed = true;
                 sim_cells++;
-                submitCell(cell, cfg, names[w]);
+                submitCell(cell, cfg, key, names[w]);
             }
         }
         // Folding normalizes against the baselines, so the ticket
@@ -199,8 +210,8 @@ class Evaluator
         ensureBaselineRows();
         std::vector<PointResult> out;
         out.reserve(t.points.size());
-        for (const DesignPoint &p : t.points)
-            out.push_back(fold(p, t.wsel));
+        for (std::size_t i = 0; i < t.points.size(); i++)
+            out.push_back(fold(t.points[i], *t.rows[i], t.wsel));
         return out;
     }
 
@@ -260,24 +271,20 @@ class Evaluator
     const CellStore *cellStore() const { return store.get(); }
 
   private:
-    struct CacheRow
-    {
-        /** One slot per suite workload; sized once at creation so
-         *  cell addresses stay stable for in-flight tasks. */
-        std::vector<Cell> cells;
-    };
-
-    CacheRow &
-    rowFor(const std::string &key)
+    /** The (simKey, row) cache entry for @p key, created on first
+     *  use. Map nodes are stable, so in-flight tasks may hold the
+     *  key and the row's cells. */
+    std::map<std::string, CacheRow>::value_type *
+    rowFor(std::string key)
     {
         auto it = sim_cache.find(key);
         if (it == sim_cache.end()) {
             CacheRow row;
             row.cells.resize(names.size());
-            it = sim_cache.emplace(key, std::move(row)).first;
+            it = sim_cache.emplace(std::move(key), std::move(row)).first;
             row_inserts++;
         }
-        return it->second;
+        return &*it;
     }
 
     /** Microseconds on the observability clock: the trace's own
@@ -295,12 +302,12 @@ class Evaluator
     }
 
     /** Submit @p cell's simulation; the task publishes its result
-     *  under the evaluator lock and wakes any collector. @p kind
-     *  labels the trace span ("sim" or "baseline"). */
+     *  under the evaluator lock and wakes any collector. @p skey is
+     *  simKey(@p cfg), which must outlive the task. @p kind labels
+     *  the trace span ("sim" or "baseline"). */
     void
-    submitCell(Cell &cell, const SimConfig &cfg,
-               const std::string &workload,
-               const char *kind = "sim")
+    submitCell(Cell &cell, const SimConfig &cfg, const std::string &skey,
+               const std::string &workload, const char *kind = "sim")
     {
         const bool timing = trace || progress;
         if (trace) {
@@ -308,7 +315,7 @@ class Evaluator
             trace->counter("cells in flight", POOL_PID, tickUs(),
                            cells_submitted - cells_landed);
         }
-        runner.submit([this, &cell, cfg, workload, kind, timing] {
+        runner.submit([this, &cell, cfg, &skey, workload, kind, timing] {
             const std::uint64_t start_us = timing ? tickUs() : 0;
             // Persistent store first: a hit replaces the whole
             // simulation. simulate() is a pure seeded function of
@@ -319,7 +326,6 @@ class Evaluator
             SimResult r;
             bool from_store = false;
             if (store) {
-                const std::string skey = simKey(cfg);
                 from_store = store->load(skey, workload, r);
                 if (!from_store) {
                     r = simulate(cfg,
@@ -389,13 +395,15 @@ class Evaluator
         if (!baseline_cells.empty())
             return;
         baseline_cells.resize(names.size());
+        SimConfig cfg;
+        cfg.num_sms = num_sms;
+        cfg.design = RfDesign::BL;
+        baseline_key = simKey(cfg);
         for (std::size_t w = 0; w < names.size(); w++) {
-            SimConfig cfg;
-            cfg.num_sms = num_sms;
-            cfg.design = RfDesign::BL;
             baseline_cells[w].claimed = true;
             sim_cells++;
-            submitCell(baseline_cells[w], cfg, names[w], "baseline");
+            submitCell(baseline_cells[w], cfg, baseline_key, names[w],
+                       "baseline");
         }
     }
 
@@ -415,9 +423,10 @@ class Evaluator
         }
     }
 
-    /** Fold @p p's cached rows over @p wsel into objectives. */
+    /** Fold @p p's cache @p row over @p wsel into objectives. */
     PointResult
-    fold(const DesignPoint &p, const std::vector<std::size_t> &wsel)
+    fold(const DesignPoint &p, const CacheRow &row,
+         const std::vector<std::size_t> &wsel)
     {
         PointResult pr;
         pr.point = p;
@@ -425,8 +434,6 @@ class Evaluator
         const bool cached_design =
                 usesRegCache(policyDesign(p.policy));
 
-        const CacheRow &row =
-                sim_cache.at(simKey(configFor(p, num_sms)));
         std::vector<double> norm_ipc;
         double energy_sum = 0.0;
         for (std::size_t w : wsel) {
@@ -461,6 +468,8 @@ class Evaluator
     std::chrono::steady_clock::time_point t0;
     std::vector<BaselineRow> baselines;
     std::vector<Cell> baseline_cells;
+    /** simKey() of the baseline configuration, shared by its cells. */
+    std::string baseline_key;
     std::map<std::string, CacheRow> sim_cache;
     std::mutex mu;
     std::condition_variable cell_done;

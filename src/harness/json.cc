@@ -1,7 +1,6 @@
 #include "harness/json.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
@@ -79,23 +78,170 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
-/** Thrown by the lenient parser instead of exiting (tryParse). */
-struct ParseError
+/** The value of hex digit @p h, or -1. */
+int
+hexDigit(char h)
 {
-};
+    if (h >= '0' && h <= '9')
+        return h - '0';
+    if (h >= 'a' && h <= 'f')
+        return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F')
+        return h - 'A' + 10;
+    return -1;
+}
 
 } // namespace
 
+void
+JsonLexer::skipEscape()
+{
+    pos++;
+    if (pos >= text.size())
+        fail("unterminated escape");
+    switch (text[pos++]) {
+      case '"': case '\\': case '/': case 'n': case 't': case 'r':
+      case 'b': case 'f':
+        return;
+      case 'u':
+        if (pos + 4 > text.size())
+            fail("truncated \\u escape");
+        for (int i = 0; i < 4; i++)
+            if (hexDigit(text[pos++]) < 0)
+                fail("bad \\u escape digit");
+        return;
+      default:
+        fail("unknown escape character");
+    }
+}
+
+void
+JsonLexer::Str::decodeTo(std::string &out) const
+{
+    // string() validated every escape, so this only translates.
+    std::size_t i = 0;
+    while (true) {
+        // Copy the run up to the next escape at once.
+        const std::size_t esc = std::min(raw.find('\\', i), raw.size());
+        out.append(raw.data() + i, esc - i);
+        if (esc == raw.size())
+            return;
+        i = esc + 2;
+        switch (raw[esc + 1]) {
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'u': {
+            unsigned code = 0;
+            for (; i < esc + 6; i++)
+                code = code << 4 | static_cast<unsigned>(hexDigit(raw[i]));
+            // The harness only emits ASCII escapes; decode the BMP
+            // code point as UTF-8.
+            if (code < 0x80) {
+                out += static_cast<char>(code);
+            } else if (code < 0x800) {
+                out += static_cast<char>(0xc0 | (code >> 6));
+                out += static_cast<char>(0x80 | (code & 0x3f));
+            } else {
+                out += static_cast<char>(0xe0 | (code >> 12));
+                out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+                out += static_cast<char>(0x80 | (code & 0x3f));
+            }
+            break;
+          }
+          default:    // '"', '\\' and '/' stand for themselves
+            out += raw[esc + 1];
+        }
+    }
+}
+
+bool
+JsonLexer::Str::equals(std::string_view s) const
+{
+    if (!escaped)
+        return raw == s;
+    std::string decoded;
+    decodeTo(decoded);
+    return decoded == s;
+}
+
 /**
- * Recursive-descent parser over a string_view cursor. A friend of
- * Json so each object's members, collected on one stack shared by
- * all nesting levels, move into a vector allocated at its final size.
+ * from_chars converts the token in place and rounds exactly as strtod
+ * does; only a value out of double's range goes to strtod, for its
+ * +-inf and underflow results. A token of at most 15 plain digits
+ * (every counter a simulation writes) takes the integer conversion,
+ * which is exact: such a value is below 2^53.
+ */
+double
+JsonLexer::number()
+{
+    const std::size_t start = pos;
+    bool digits_only = !consume('-');
+    for (; pos < text.size(); pos++) {
+        const char c = text[pos];
+        if (c >= '0' && c <= '9')
+            continue;
+        if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-')
+            break;
+        digits_only = false;
+    }
+    const char *first = text.data() + start;
+    const char *last = text.data() + pos;
+    if (digits_only && last - first <= 15) {
+        std::uint64_t u = 0;
+        std::from_chars(first, last, u);
+        return static_cast<double>(u);
+    }
+    double d = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, d);
+    if (r.ptr != last)
+        fail("malformed number");
+    if (r.ec == std::errc::result_out_of_range)
+        d = std::strtod(std::string(first, last).c_str(), nullptr);
+    else if (r.ec != std::errc())
+        fail("malformed number");
+    return d;
+}
+
+void
+JsonLexer::skip(Kind k)
+{
+    Str key;
+    switch (k) {
+      case Kind::OBJECT:
+        beginObject();
+        while (nextMember(key))
+            skipValue();
+        return;
+      case Kind::ARRAY:
+        beginArray();
+        while (nextElement())
+            skipValue();
+        return;
+      case Kind::STRING:
+        string();
+        return;
+      case Kind::NUMBER:
+        number();
+        return;
+      case Kind::TRUE:
+      case Kind::FALSE:
+      case Kind::NUL:
+        return;
+    }
+}
+
+/**
+ * Recursive-descent DOM builder on JsonLexer. A friend of Json so
+ * each object's members, collected on one stack shared by all
+ * nesting levels, move into a vector allocated at its final size.
  */
 class JsonParser
 {
   public:
-    explicit JsonParser(std::string_view text, bool lenient = false)
-        : text(text), lenient(lenient)
+    explicit JsonParser(std::string_view text) : lex(text)
     {
         members.reserve(32);    // a cell-store entry holds 23
     }
@@ -104,109 +250,46 @@ class JsonParser
     parse()
     {
         Json v = parseValue();
-        skipWs();
-        if (pos != text.size())
-            fail("trailing characters after JSON value");
+        lex.finish();
         return v;
     }
 
   private:
-    [[noreturn]] void
-    fail(const char *what)
-    {
-        if (lenient)
-            throw ParseError{};
-        std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos && i < text.size(); i++) {
-            if (text[i] == '\n') { line++; col = 1; } else col++;
-        }
-        ltrf_fatal("JSON parse error at line %zu col %zu: %s", line,
-                   col, what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            pos++;
-    }
-
-    char
-    peek()
-    {
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character");
-        pos++;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < text.size() && text[pos] == c) {
-            pos++;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    consumeWord(std::string_view w)
-    {
-        if (text.substr(pos, w.size()) == w) {
-            pos += w.size();
-            return true;
-        }
-        return false;
-    }
-
     Json
     parseValue()
     {
-        skipWs();
-        char c = peek();
-        if (c == '{')
+        switch (lex.value()) {
+          case JsonLexer::Kind::OBJECT:
             return parseObject();
-        if (c == '[')
+          case JsonLexer::Kind::ARRAY:
             return parseArray();
-        if (c == '"')
-            return Json(parseString());
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return Json(parseNumber());
-        if (consumeWord("true"))
+          case JsonLexer::Kind::STRING: {
+            Json s{std::string()};
+            lex.string().decodeTo(s.str_);
+            return s;
+          }
+          case JsonLexer::Kind::NUMBER:
+            return Json(lex.number());
+          case JsonLexer::Kind::TRUE:
             return Json(true);
-        if (consumeWord("false"))
+          case JsonLexer::Kind::FALSE:
             return Json(false);
-        if (consumeWord("null"))
-            return Json();
-        fail("expected a JSON value");
+          case JsonLexer::Kind::NUL:
+            break;
+        }
+        return Json();
     }
 
     Json
     parseObject()
     {
-        expect('{');
+        lex.beginObject();
         Json obj = Json::object();
-        skipWs();
-        if (consume('}'))
-            return obj;
         const std::size_t base = members.size();
-        while (true) {
-            skipWs();
-            if (peek() != '"')
-                fail("expected object key string");
-            std::string key = parseString();
-            skipWs();
-            expect(':');
+        JsonLexer::Str raw;
+        while (lex.nextMember(raw)) {
+            std::string key;
+            raw.decodeTo(key);
             Json v = parseValue();
             // A repeated key replaces the earlier value in place, as
             // Json::set() does.
@@ -218,136 +301,26 @@ class JsonParser
                 dup->second = std::move(v);
             else
                 members.emplace_back(std::move(key), std::move(v));
-            skipWs();
-            if (consume(','))
-                continue;
-            expect('}');
-            const auto first =
-                    members.begin() + static_cast<std::ptrdiff_t>(base);
-            obj.obj_.assign(std::make_move_iterator(first),
-                            std::make_move_iterator(members.end()));
-            members.erase(first, members.end());
-            return obj;
         }
+        const auto first =
+                members.begin() + static_cast<std::ptrdiff_t>(base);
+        obj.obj_.assign(std::make_move_iterator(first),
+                        std::make_move_iterator(members.end()));
+        members.erase(first, members.end());
+        return obj;
     }
 
     Json
     parseArray()
     {
-        expect('[');
+        lex.beginArray();
         Json arr = Json::array();
-        skipWs();
-        if (consume(']'))
-            return arr;
-        while (true) {
+        while (lex.nextElement())
             arr.push(parseValue());
-            skipWs();
-            if (consume(','))
-                continue;
-            expect(']');
-            return arr;
-        }
+        return arr;
     }
 
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            // Copy the run up to the next quote or escape at once.
-            std::size_t run = pos;
-            while (run < text.size() && text[run] != '"' &&
-                   text[run] != '\\')
-                run++;
-            s.append(text.data() + pos, run - pos);
-            pos = run;
-            if (pos >= text.size())
-                fail("unterminated string");
-            if (text[pos++] == '"')
-                return s;
-            if (pos >= text.size())
-                fail("unterminated escape");
-            char e = text[pos++];
-            switch (e) {
-              case '"': s += '"'; break;
-              case '\\': s += '\\'; break;
-              case '/': s += '/'; break;
-              case 'n': s += '\n'; break;
-              case 't': s += '\t'; break;
-              case 'r': s += '\r'; break;
-              case 'b': s += '\b'; break;
-              case 'f': s += '\f'; break;
-              case 'u': {
-                if (pos + 4 > text.size())
-                    fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = text[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape digit");
-                }
-                // The harness only emits ASCII escapes; decode the
-                // BMP code point as UTF-8.
-                if (code < 0x80) {
-                    s += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    s += static_cast<char>(0xc0 | (code >> 6));
-                    s += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    s += static_cast<char>(0xe0 | (code >> 12));
-                    s += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-                    s += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                fail("unknown escape character");
-            }
-        }
-    }
-
-    /**
-     * A number token is '-' or a digit followed by any run of
-     * [0-9.eE+-], and must convert as a whole. from_chars converts it
-     * in place and rounds exactly as strtod does; only a value
-     * out of double's range goes to strtod, for its +-inf and
-     * underflow results.
-     */
-    double
-    parseNumber()
-    {
-        const std::size_t start = pos;
-        if (consume('-')) {}
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '+' ||
-                text[pos] == '-'))
-            pos++;
-        const char *first = text.data() + start;
-        const char *last = text.data() + pos;
-        double d = 0.0;
-        const std::from_chars_result r = std::from_chars(first, last, d);
-        if (r.ptr != last)
-            fail("malformed number");
-        if (r.ec == std::errc::result_out_of_range)
-            d = std::strtod(std::string(first, last).c_str(), nullptr);
-        else if (r.ec != std::errc())
-            fail("malformed number");
-        return d;
-    }
-
-    std::string_view text;
-    std::size_t pos = 0;
-    bool lenient;
+    JsonLexer lex;
     /** Members parsed so far of the open objects, innermost last. */
     std::vector<std::pair<std::string, Json>> members;
 };
@@ -569,16 +542,25 @@ Json::dump(int indent) const
 Json
 Json::parse(std::string_view text)
 {
-    return JsonParser(text).parse();
+    try {
+        return JsonParser(text).parse();
+    } catch (const JsonLexer::Error &e) {
+        std::size_t line = 1, col = 1;
+        for (std::size_t i = 0; i < e.pos && i < text.size(); i++) {
+            if (text[i] == '\n') { line++; col = 1; } else col++;
+        }
+        ltrf_fatal("JSON parse error at line %zu col %zu: %s", line,
+                   col, e.what);
+    }
 }
 
 bool
 Json::tryParse(std::string_view text, Json &out)
 {
     try {
-        out = JsonParser(text, /*lenient=*/true).parse();
+        out = JsonParser(text).parse();
         return true;
-    } catch (const ParseError &) {
+    } catch (const JsonLexer::Error &) {
         return false;
     }
 }

@@ -51,8 +51,9 @@ TEST(CfgAnalysis, RpoRespectsForwardEdges)
             for (auto [t, h] : info.back_edges)
                 if (t == bb.id && h == s)
                     is_back = true;
-            if (!is_back)
+            if (!is_back) {
                 EXPECT_LT(info.rpo_index[bb.id], info.rpo_index[s]);
+            }
         }
     }
 }

@@ -409,8 +409,9 @@ TEST(PointCursor, StreamsAMillionPointSpaceWithoutMaterializing)
     DesignPoint p;
     std::uint64_t i = 0;
     while (cur.next(p)) {
-        if (i % 99991 == 0)
+        if (i % 99991 == 0) {
             ASSERT_EQ(p, s.pointAt(i)) << "index " << i;
+        }
         i++;
     }
     EXPECT_EQ(i, s.size());

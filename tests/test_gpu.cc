@@ -214,14 +214,17 @@ TEST_P(DesignWorkloadProperty, AccountingInvariants)
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.ipc, 0.0);
-    if (usesPrefetch(d) || d == RfDesign::SHRF)
+    if (usesPrefetch(d) || d == RfDesign::SHRF) {
         EXPECT_GT(r.prefetch_ops, 0u);
-    else
+    } else {
         EXPECT_EQ(r.prefetch_ops, 0u);
-    if (!usesRegCache(d))
+    }
+    if (!usesRegCache(d)) {
         EXPECT_EQ(r.cache_accesses, 0u);
-    if (d == RfDesign::BL || d == RfDesign::IDEAL)
+    }
+    if (d == RfDesign::BL || d == RfDesign::IDEAL) {
         EXPECT_GT(r.main_accesses, r.instructions);  // >1 access/instr
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,9 +14,11 @@
 #include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -433,6 +435,35 @@ TEST(Json, NumberGrammar)
         Json j;
         ASSERT_TRUE(Json::tryParse(text, j)) << text;
         EXPECT_EQ(bitsOf(j.asDouble()), bitsOf(want)) << text;
+    }
+}
+
+TEST(Json, DigitTokensConvertLikeStrtod)
+{
+    // Tokens of at most 15 plain digits take an integer conversion;
+    // it and the double path must agree with strtod bit for bit on
+    // either side of that cut, with and without sign and leading
+    // zeros.
+    std::mt19937_64 rng(7);
+    std::vector<std::string> tokens = {
+            "0", "00", "-0", "1", "999999999999999", "1000000000000000",
+            "9007199254740992", "9007199254740993", "99999999999999999999",
+            "000000000000000123456"};
+    for (int len = 1; len <= 21; len++) {
+        for (int i = 0; i < 200; i++) {
+            std::string t;
+            for (int d = 0; d < len; d++)
+                t += static_cast<char>('0' + rng() % 10);
+            tokens.push_back(t);
+            tokens.push_back("-" + t);
+        }
+    }
+    for (const std::string &t : tokens) {
+        Json j;
+        ASSERT_TRUE(Json::tryParse(t, j)) << t;
+        EXPECT_EQ(bitsOf(j.asDouble()),
+                  bitsOf(std::strtod(t.c_str(), nullptr)))
+                << t;
     }
 }
 

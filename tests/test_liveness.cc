@@ -133,8 +133,9 @@ TEST(Liveness, ConvergesOnDeepLoopNest)
     EXPECT_LT(info.iterations, 50);
     // r0 live into every loop level.
     for (int blk = 1; blk < k.numBlocks() - 1; blk++) {
-        if (!k.block(blk).instrs.empty())
+        if (!k.block(blk).instrs.empty()) {
             EXPECT_TRUE(info.live_in[blk].test(0) ||
                         info.def[blk].test(0));
+        }
     }
 }

@@ -70,10 +70,11 @@ TEST_P(StallAccounting, BreakdownSumsToIssueSlots)
     // LTRF and strand semantics always consume slots on triggered
     // prefetches; LTRF+ may skip every transfer on a light workload,
     // so only the non-prefetch designs get the exact-zero check.
-    if (d == RfDesign::LTRF || d == RfDesign::LTRF_STRAND)
+    if (d == RfDesign::LTRF || d == RfDesign::LTRF_STRAND) {
         EXPECT_GT(r.stall_total.prefetch_slots, 0u);
-    else if (!usesPrefetch(d))
+    } else if (!usesPrefetch(d)) {
         EXPECT_EQ(r.stall_total.prefetch_slots, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
